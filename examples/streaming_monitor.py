@@ -8,7 +8,7 @@ Run with::
 The batch miners answer "what recurred in this archive?".  An operator
 usually asks the online version: "is this alarm pattern *currently*
 inside a periodic episode, and how many episodes has it had?"  The
-:class:`~repro.core.streaming.StreamingRecurrenceMonitor` maintains the
+:class:`~repro.streaming.StreamingRecurrenceMonitor` maintains the
 paper's Algorithm 1/5 state incrementally — O(1) per event — and fires
 a callback the moment an interesting periodic-interval closes.
 

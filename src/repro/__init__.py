@@ -24,9 +24,8 @@ from repro.core.condensed import (
     top_k_patterns,
 )
 from repro.core.engines import (
-    ENGINES,
-    PARALLEL_ENGINES,
     EngineSpec,
+    engine_names,
     get_engine,
     register_engine,
 )
@@ -43,10 +42,10 @@ from repro.core.naive import mine_recurring_patterns_naive
 from repro.core.noise import NoiseTolerantMiner, mine_noise_tolerant_patterns
 from repro.core.periods import suggest_per
 from repro.core.rp_eclat import RPEclat
-from repro.core.rp_growth import MiningStats, RPGrowth
+from repro.core.rp_growth import RPGrowth
 from repro.core.rules import RecurringRule, SeasonalRecommender, derive_rules
 from repro.core.targeted import mine_patterns_containing
-from repro.obs import MiningTelemetry, SpanCollector, span
+from repro.obs import MiningStats, MiningTelemetry, SpanCollector, span
 from repro.parallel import ParallelMiner
 from repro.streaming import (
     CalendarPeriod,
@@ -104,9 +103,8 @@ __all__ = [
     # Configuration and the engine registry
     "ResilienceOptions",
     "ObservabilityOptions",
-    "ENGINES",
-    "PARALLEL_ENGINES",
     "EngineSpec",
+    "engine_names",
     "get_engine",
     "register_engine",
     # Threshold sweeps

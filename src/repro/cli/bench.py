@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from repro.bench.reporting import format_table
-from repro.core.engines import ENGINES
+from repro.core.engines import engine_names
 from repro.core.options import ObservabilityOptions
 from repro.cli._options import (
     _WORKLOADS,
@@ -61,7 +61,7 @@ def configure(commands) -> None:
     )
     bench.add_argument("--min-recs", type=int, nargs="+", default=[1, 2, 3])
     bench.add_argument(
-        "--engine", choices=ENGINES, default="rp-growth"
+        "--engine", choices=engine_names(), default="rp-growth"
     )
     bench.add_argument(
         "--runtime", action="store_true", help="also measure wall-clock"

@@ -14,7 +14,7 @@ import logging
 import sys
 
 from repro.bench.reporting import format_table
-from repro.core.engines import ENGINES
+from repro.core.engines import engine_names
 from repro.core.options import ObservabilityOptions
 from repro.cli._options import (
     _add_jobs_flag,
@@ -52,7 +52,7 @@ def configure(commands) -> None:
         help="minimum recurrence (default 1)",
     )
     mine.add_argument(
-        "--engine", choices=ENGINES, default="rp-growth",
+        "--engine", choices=engine_names(), default="rp-growth",
         help="mining engine",
     )
     mine.add_argument(

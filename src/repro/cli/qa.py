@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.engines import ENGINES
+from repro.core.engines import engine_names
 from repro.cli._options import _add_logging_flag, _add_progress_flag
 
 
@@ -60,9 +60,9 @@ def configure(commands) -> None:
     qa.add_argument(
         "--engines",
         nargs="+",
-        choices=ENGINES,
+        choices=engine_names(),
         default=None,
-        help="engines to exercise (default: all four)",
+        help="engines to exercise (default: every registered engine)",
     )
     qa.add_argument(
         "--relation-cases",
@@ -105,7 +105,7 @@ def _cmd_qa(args: argparse.Namespace) -> int:
         budget=args.budget,
         seed=args.seed if args.seed is not None else BASE_SEED,
         golden_dir=args.golden_dir,
-        engines=tuple(args.engines) if args.engines else ENGINES,
+        engines=tuple(args.engines) if args.engines else engine_names(),
         relation_cases=args.relation_cases,
         differential_cases=args.differential_cases,
         minimize=not args.no_minimize,

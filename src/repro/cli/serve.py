@@ -13,7 +13,7 @@ import io
 import sys
 
 from repro.bench.reporting import format_table
-from repro.core.engines import ENGINES
+from repro.core.engines import engine_names
 from repro.cli._options import (
     _WORKLOADS,
     _add_logging_flag,
@@ -83,7 +83,7 @@ def configure(commands) -> None:
         help="minimum recurrence (default 1)",
     )
     submit.add_argument(
-        "--engine", choices=ENGINES, default="rp-growth",
+        "--engine", choices=engine_names(), default="rp-growth",
         help="mining engine",
     )
     submit.add_argument(

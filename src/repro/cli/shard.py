@@ -7,7 +7,7 @@ import sys
 import time
 
 from repro.bench.reporting import format_table
-from repro.core.engines import ENGINES
+from repro.core.engines import engine_names
 from repro.core.options import ObservabilityOptions
 from repro.cli._options import (
     _add_jobs_flag,
@@ -44,7 +44,7 @@ def configure(commands) -> None:
         help="minimum recurrence (default 1)",
     )
     shard.add_argument(
-        "--engine", choices=ENGINES, default="rp-growth",
+        "--engine", choices=engine_names(), default="rp-growth",
         help="mining engine",
     )
     shard.add_argument(

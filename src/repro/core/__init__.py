@@ -42,7 +42,6 @@ from repro.core.noise import (
     mine_noise_tolerant_patterns,
 )
 from repro.core.rules import RecurringRule, SeasonalRecommender, derive_rules
-from repro.core.streaming import StreamingRecurrenceMonitor
 from repro.core.targeted import mine_patterns_containing
 from repro.core.model import (
     MiningParameters,
@@ -84,7 +83,6 @@ __all__ = [
     "RecurringRule",
     "SeasonalRecommender",
     "derive_rules",
-    "StreamingRecurrenceMonitor",
     "PerSuggestion",
     "suggest_per",
     "significant_periods",

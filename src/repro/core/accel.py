@@ -1,20 +1,16 @@
-"""NumPy-accelerated primitives and a vectorised vertical engine.
+"""NumPy primitives of the columnar kernel.
 
 The pure-Python implementations in :mod:`repro.core.intervals` are the
-reference semantics; this module provides drop-in vectorised versions
-of the model's measures, property-tested byte-identical to their pure
-counterparts (``tests/core/test_accel_equivalence.py``):
+reference semantics; this module provides the vectorised pieces the
+batched columnar engine (:mod:`repro.core.rp_eclat_vec`) is built
+from, property-tested byte-identical to their pure counterparts
+(``tests/core/test_accel_equivalence.py``):
 
-* per-sequence primitives — :func:`estimated_recurrence_np`,
-  :func:`recurrence_np`, :func:`interesting_intervals_np` — all built
-  on the one ``np.diff`` + run-length-encoding pass of
-  :func:`_run_bounds`;
 * the *segmented* kernel :func:`segmented_interval_stats`, which runs
-  that same pass over **many point sequences concatenated into one
-  array** and returns per-segment ``Erec``/``Rec`` plus every
-  interesting run.  This is the inner loop of the batched columnar
-  engine (:mod:`repro.core.rp_eclat_vec`): one call replaces a whole
-  python loop of per-candidate evaluations;
+  one ``np.diff`` + run-length-encoding pass over **many point
+  sequences concatenated into one array** and returns per-segment
+  ``Erec``/``Rec`` plus every interesting run — one call replaces a
+  whole python loop of per-candidate evaluations;
 * sorted-array ts-list intersection :func:`intersect_arrays`
   (``np.intersect1d`` with a dense-bitmap gather for high-support
   operands — see ``docs/performance.md`` for the crossover);
@@ -22,42 +18,22 @@ counterparts (``tests/core/test_accel_equivalence.py``):
   timestamps to a columnar ``int64``/``float64`` array and raises
   :class:`~repro.exceptions.ParameterError` instead of silently
   wrapping when scaled timestamps approach the int64 edge.
-
-:class:`FastRPEclat` (the ``"rp-eclat-np"`` engine) keeps point
-sequences as numpy arrays but still walks candidates one python call
-at a time; the batched columnar engine ``"rp-eclat-vec"`` supersedes
-it on large workloads.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from repro._validation import Number, check_count, check_positive
-from repro.core.model import (
-    MiningParameters,
-    RecurringPattern,
-    RecurringPatternSet,
-    ResolvedParameters,
-)
-from repro.core.ordering import sort_candidates
 from repro.exceptions import ParameterError
-from repro.obs.counters import MiningStats
-from repro.obs.spans import span
-from repro.timeseries.database import TransactionalDatabase
-from repro.timeseries.events import Item
 
 __all__ = [
-    "estimated_recurrence_np",
-    "recurrence_np",
-    "interesting_intervals_np",
     "segmented_interval_stats",
     "intersect_arrays",
     "as_timestamp_array",
     "INT64_SAFE_BOUND",
-    "FastRPEclat",
 ]
 
 #: Largest timestamp magnitude the int64 kernels accept.  The bound is
@@ -70,75 +46,6 @@ INT64_SAFE_BOUND = 2 ** 62
 #: Exact-integer range of float64; above this, integers folded into a
 #: float column (mixed int/float input) would silently lose precision.
 _FLOAT64_EXACT_BOUND = 2 ** 53
-
-
-def _run_bounds(
-    timestamps: np.ndarray, per: Number
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(starts, ends, lengths)`` of the maximal periodic runs.
-
-    ``timestamps`` must be a strictly increasing 1-D array; ``starts``
-    and ``ends`` are inclusive indices into it.  This is the one
-    vectorised pass shared by every ``*_np`` function below.
-    """
-    if timestamps.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    gaps = np.diff(timestamps)
-    # Boundaries where a new run starts (gap > per), as indices into ts.
-    breaks = np.flatnonzero(gaps > per)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [timestamps.size - 1]))
-    return starts, ends, ends - starts + 1
-
-
-def _run_lengths(timestamps: np.ndarray, per: Number) -> np.ndarray:
-    """Lengths of the maximal periodic runs, vectorised."""
-    return _run_bounds(timestamps, per)[2]
-
-
-def estimated_recurrence_np(
-    timestamps: np.ndarray, per: Number, min_ps: int
-) -> int:
-    """Vectorised ``Erec`` — equals
-    :func:`repro.core.intervals.estimated_recurrence`.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> estimated_recurrence_np(np.array([1, 5, 6, 7, 12, 14]), 2, 3)
-    1
-    """
-    check_positive(per, "per")
-    check_count(min_ps, "min_ps")
-    return int((_run_lengths(timestamps, per) // min_ps).sum())
-
-
-def recurrence_np(timestamps: np.ndarray, per: Number, min_ps: int) -> int:
-    """Vectorised ``Rec`` — equals :func:`repro.core.intervals.recurrence`."""
-    check_positive(per, "per")
-    check_count(min_ps, "min_ps")
-    return int((_run_lengths(timestamps, per) >= min_ps).sum())
-
-
-def interesting_intervals_np(
-    timestamps: np.ndarray, per: Number, min_ps: int
-) -> List[Tuple[float, float, int]]:
-    """Vectorised interesting-interval extraction.
-
-    Returns the same ``(start, end, ps)`` tuples as
-    :func:`repro.core.intervals.interesting_intervals`.
-    """
-    check_positive(per, "per")
-    check_count(min_ps, "min_ps")
-    if timestamps.size == 0:
-        return []
-    starts, ends, lengths = _run_bounds(timestamps, per)
-    keep = lengths >= min_ps
-    return [
-        (timestamps[s].item(), timestamps[e].item(), int(length))
-        for s, e, length in zip(starts[keep], ends[keep], lengths[keep])
-    ]
 
 
 def as_timestamp_array(values: Sequence[Number]) -> np.ndarray:
@@ -255,8 +162,7 @@ def segmented_interval_stats(
     ``ts`` is the concatenation of many point sequences (each strictly
     increasing); segment ``i`` spans ``ts[starts[i]:starts[i + 1]]``
     (the last runs to ``ts.size``).  Empty segments — duplicate
-    offsets in ``starts`` — are allowed and report zeros.  This is the
-    batched generalisation of :func:`_run_bounds`: one
+    offsets in ``starts`` — are allowed and report zeros.  One
     ``np.diff`` + run-length-encoding sweep scores *every* candidate
     of a lattice node at once, which is what removes the per-candidate
     python loop from the columnar engine.
@@ -318,99 +224,3 @@ def _segmented_interval_stats(
     good_seg = run_seg[good]
     rec = np.bincount(good_seg, minlength=n_seg).astype(np.int64)
     return erec, rec, good_seg, run_first[good], run_last[good]
-
-
-class FastRPEclat:
-    """Vectorised vertical miner — same model, numpy point sequences.
-
-    Matches :class:`repro.core.rp_eclat.RPEclat` output exactly
-    (property-tested); faster on workloads with long point sequences
-    because intersection (`np.intersect1d(assume_unique=True)`) and the
-    Erec bound are vectorised.
-
-    Examples
-    --------
-    >>> from repro.datasets import paper_running_example
-    >>> found = FastRPEclat(per=2, min_ps=3, min_rec=2).mine(
-    ...     paper_running_example())
-    >>> len(found)
-    8
-    """
-
-    def __init__(self, per: Number, min_ps: Union[int, float], min_rec: int):
-        self.params = MiningParameters(per=per, min_ps=min_ps, min_rec=min_rec)
-        self.last_stats: Union[MiningStats, None] = None
-
-    def mine(self, database: TransactionalDatabase) -> RecurringPatternSet:
-        """Mine the complete set of recurring patterns in ``database``."""
-        stats = MiningStats()
-        self.last_stats = stats
-        if len(database) == 0:
-            return RecurringPatternSet()
-        params = self.params.resolve(len(database))
-
-        with span("first_scan"):
-            candidates = self._first_scan(database, params, stats)
-
-        found: List[RecurringPattern] = []
-        with span("mine"):
-            for index, (item, ts) in enumerate(candidates):
-                self._grow(
-                    (item,), ts, candidates[index + 1:],
-                    params, found, stats,
-                )
-        return RecurringPatternSet(found)
-
-    def _first_scan(
-        self,
-        database: TransactionalDatabase,
-        params: ResolvedParameters,
-        stats: MiningStats,
-    ) -> List[Tuple[Item, np.ndarray]]:
-        """Candidate 1-items with array ts-lists, in canonical order."""
-        per, min_ps, min_rec = params.per, params.min_ps, params.min_rec
-        item_ts = {
-            item: np.asarray(ts)
-            for item, ts in database.item_timestamps().items()
-        }
-        candidates: List[Tuple[Item, np.ndarray]] = []
-        for item in sorted(item_ts, key=repr):
-            ts = item_ts[item]
-            stats.erec_evaluations += 1
-            if estimated_recurrence_np(ts, per, min_ps) >= min_rec:
-                candidates.append((item, ts))
-                stats.tid_list_entries += int(ts.size)
-            else:
-                stats.pruned_items += 1
-        stats.candidate_items = len(candidates)
-        return sort_candidates(candidates)
-
-    def _grow(
-        self,
-        prefix: Tuple[Item, ...],
-        prefix_ts: np.ndarray,
-        extensions: List[Tuple[Item, np.ndarray]],
-        params: ResolvedParameters,
-        found: List[RecurringPattern],
-        stats: MiningStats,
-    ) -> None:
-        per, min_ps, min_rec = params.per, params.min_ps, params.min_rec
-        stats.candidate_patterns += 1
-        stats.recurrence_evaluations += 1
-        runs = interesting_intervals_np(prefix_ts, per, min_ps)
-        if len(runs) >= min_rec:
-            stats.patterns_found += 1
-            pattern = params.pattern_from_timestamps(
-                prefix, prefix_ts.tolist()
-            )
-            assert pattern is not None
-            found.append(pattern)
-        for index, (item, ts) in enumerate(extensions):
-            new_ts = np.intersect1d(prefix_ts, ts, assume_unique=True)
-            stats.erec_evaluations += 1
-            stats.tid_list_entries += int(new_ts.size)
-            if estimated_recurrence_np(new_ts, per, min_ps) >= min_rec:
-                self._grow(
-                    prefix + (item,), new_ts, extensions[index + 1:],
-                    params, found, stats,
-                )

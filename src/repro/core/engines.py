@@ -9,7 +9,10 @@ capability flags —
 
 ``supports_jobs``
     The engine's search space can be prefix-partitioned by
-    :mod:`repro.parallel`, so ``jobs > 1`` is allowed.
+    :mod:`repro.parallel`, so ``jobs > 1`` is allowed.  Pool workers
+    build their engine through the same factory, so such an engine
+    must also speak its family's worker protocol (``_first_scan`` /
+    ``_grow`` for vertical engines, ``_mine_tree`` for growth).
 ``exhaustive``
     The engine enumerates the full itemset lattice without pruning; it
     exists as an obviously-correct reference for small inputs, and
@@ -25,29 +28,30 @@ and returns an object with ``mine(database)`` and ``last_stats``
 (the :class:`~repro.obs.counters.StatsSource` protocol).  Factories
 accept the engine-specific options they understand (``item_order``,
 ``pruning``, ``max_length``) and ignore the rest, so one call site can
-drive any engine.
+drive any engine.  The factory is the only way the library builds an
+engine — serial runs, :class:`~repro.parallel.ParallelMiner` and its
+pool workers alike.
 
 Examples
 --------
->>> from repro.core.engines import ENGINES, get_engine
->>> tuple(ENGINES)
-('rp-growth', 'rp-eclat', 'rp-eclat-np', 'rp-eclat-vec', 'naive')
+>>> from repro.core.engines import engine_names, get_engine
+>>> engine_names()
+('rp-growth', 'rp-eclat', 'rp-eclat-vec', 'naive')
+>>> engine_names(supports_jobs=True)
+('rp-growth', 'rp-eclat', 'rp-eclat-vec')
 >>> get_engine("naive").supports_jobs
 False
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from repro.exceptions import ParameterError
 
 __all__ = [
-    "ENGINES",
-    "PARALLEL_ENGINES",
     "EngineSpec",
-    "EngineView",
     "engine_names",
     "get_engine",
     "register_engine",
@@ -142,74 +146,19 @@ def get_engine(name: str) -> EngineSpec:
         ) from None
 
 
-def engine_names() -> tuple:
-    """All registered engine names, in registration order."""
-    return tuple(_REGISTRY)
+def engine_names(*, supports_jobs: Optional[bool] = None) -> tuple:
+    """Registered engine names, in registration order.
 
-
-class EngineView(Sequence):
-    """A live, tuple-like view over (a filtered subset of) the registry.
-
-    Iteration, membership, indexing and equality all behave like the
-    tuple of engine names the view currently selects, so existing code
-    written against hard-coded name tuples (``for e in ENGINES``,
-    ``choices=ENGINES``, ``engine in PARALLEL_ENGINES``) keeps working
-    — but an engine registered later appears in every view at once.
+    ``supports_jobs=True`` (``False``) keeps only the engines that can
+    (cannot) be prefix-partitioned across worker processes.  The tuple
+    is computed on every call, so an engine registered later shows up
+    at once.
     """
-
-    __slots__ = ("_predicate",)
-
-    def __init__(
-        self, predicate: Optional[Callable[[EngineSpec], bool]] = None
-    ):
-        self._predicate = predicate
-
-    def _names(self) -> tuple:
-        if self._predicate is None:
-            return tuple(_REGISTRY)
-        return tuple(
-            name
-            for name, spec in _REGISTRY.items()
-            if self._predicate(spec)
-        )
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names())
-
-    def __len__(self) -> int:
-        return len(self._names())
-
-    def __getitem__(self, index):
-        return self._names()[index]
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._names()
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EngineView):
-            return self._names() == other._names()
-        if isinstance(other, (tuple, list)):
-            return self._names() == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._names())
-
-    def __add__(self, other):
-        return self._names() + tuple(other)
-
-    def __radd__(self, other):
-        return tuple(other) + self._names()
-
-    def __repr__(self) -> str:
-        return repr(self._names())
-
-
-#: Every registered engine (live view; reads like a tuple of names).
-ENGINES = EngineView()
-
-#: Engines the parallel layer can partition (``supports_jobs``).
-PARALLEL_ENGINES = EngineView(lambda spec: spec.supports_jobs)
+    return tuple(
+        name
+        for name, spec in _REGISTRY.items()
+        if supports_jobs is None or spec.supports_jobs == supports_jobs
+    )
 
 
 # ----------------------------------------------------------------------
@@ -247,12 +196,6 @@ def _make_rp_eclat(
     return RPEclat(
         per, min_ps, min_rec, pruning=pruning, max_length=max_length
     )
-
-
-def _make_rp_eclat_np(per, min_ps, min_rec, **_ignored):
-    from repro.core.accel import FastRPEclat
-
-    return FastRPEclat(per, min_ps, min_rec)
 
 
 def _make_rp_eclat_vec(per, min_ps, min_rec, *, max_length=None, **_ignored):
@@ -299,13 +242,6 @@ register_engine(
     supports_jobs=True,
     family="vertical",
     description="vertical cross-check engine",
-)
-register_engine(
-    "rp-eclat-np",
-    _make_rp_eclat_np,
-    supports_jobs=True,
-    family="vertical",
-    description="vectorised vertical engine",
 )
 register_engine(
     "rp-eclat-vec",

@@ -10,10 +10,7 @@ returns a :class:`~repro.core.model.RecurringPatternSet`.
 Cross-cutting behaviour is configured through two options objects
 (:mod:`repro.core.options`): ``resilience=ResilienceOptions(...)`` for
 the parallel failure handling and
-``observability=ObservabilityOptions(...)`` for telemetry.  The
-pre-PR-5 flat keywords (``timeout=``, ``collect_stats=``, …) completed
-their deprecation cycle and now raise
-:class:`~repro.exceptions.ParameterError` naming the replacement.
+``observability=ObservabilityOptions(...)`` for telemetry.
 
 Internally the façade is a thin constructor over the unified request
 object: it builds a validated
@@ -30,14 +27,8 @@ import warnings
 from typing import List, Optional, Tuple, Union
 
 from repro._validation import Number
-from repro.core.engines import ENGINES, get_engine
-from repro.core.options import (
-    UNSET,
-    ObservabilityOptions,
-    ResilienceOptions,
-    resolve_observability,
-    resolve_resilience,
-)
+from repro.core.engines import get_engine
+from repro.core.options import ObservabilityOptions, ResilienceOptions
 from repro.core.model import RecurringPatternSet
 from repro.core.request import MiningRequest
 from repro.exceptions import ParameterError
@@ -49,9 +40,9 @@ from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.events import EventSequence
 
 __all__ = [
-    "ENGINES",
     "execute_request",
     "mine_recurring_patterns",
+    "mine_serial",
     "run_request",
 ]
 
@@ -70,14 +61,6 @@ def mine_recurring_patterns(
     max_events_in_memory: Optional[int] = None,
     resilience: Optional[ResilienceOptions] = None,
     observability: Optional[ObservabilityOptions] = None,
-    timeout=UNSET,
-    max_retries=UNSET,
-    fallback=UNSET,
-    fault_plan=UNSET,
-    collect_stats=UNSET,
-    trace=UNSET,
-    track_memory=UNSET,
-    dataset=UNSET,
 ) -> Union[
     RecurringPatternSet, Tuple[RecurringPatternSet, MiningTelemetry]
 ]:
@@ -101,12 +84,13 @@ def mine_recurring_patterns(
         Minimum recurrence — the minimum number of interesting
         periodic-intervals a pattern must have (default 1).
     engine:
-        A name from the engine registry (:data:`repro.core.engines.ENGINES`):
-        ``"rp-growth"`` (the paper's algorithm, default), ``"rp-eclat"``
-        (vertical cross-check engine), ``"rp-eclat-np"`` (vectorised
-        vertical engine), ``"rp-eclat-vec"`` (batched columnar NumPy
-        kernel) or ``"naive"`` (exhaustive; small inputs only).  Engines added via
-        :func:`repro.core.engines.register_engine` work here too.
+        A name from the engine registry
+        (:func:`repro.core.engines.engine_names`): ``"rp-growth"`` (the
+        paper's algorithm, default), ``"rp-eclat"`` (vertical
+        cross-check engine), ``"rp-eclat-vec"`` (batched columnar NumPy
+        kernel) or ``"naive"`` (exhaustive; small inputs only).  Engines
+        added via :func:`repro.core.engines.register_engine` work here
+        too.
     jobs:
         Worker-process count.  ``None`` or ``1`` mines serially
         (byte-identical to earlier releases); ``jobs > 1`` partitions
@@ -137,15 +121,6 @@ def mine_recurring_patterns(
         An :class:`~repro.core.options.ObservabilityOptions` bundling
         the telemetry knobs (``collect_stats``, ``trace``,
         ``track_memory``, ``dataset``).
-    timeout, max_retries, fallback, fault_plan:
-        **Removed** flat spellings of the ``resilience`` fields.  They
-        shipped one release of :class:`DeprecationWarning` (PR 5) and
-        now raise :class:`~repro.exceptions.ParameterError` naming the
-        options-object (or :class:`~repro.core.request.MiningRequest`)
-        replacement.
-    collect_stats, trace, track_memory, dataset:
-        **Removed** flat spellings of the ``observability`` fields,
-        handled the same way.
 
     Returns
     -------
@@ -180,20 +155,6 @@ def mine_recurring_patterns(
     # inside a worker).  MiningRequest construction validates everything
     # eagerly with the shared _validation.py messages.
     get_engine(engine)
-    resilience = resolve_resilience(
-        resilience,
-        timeout=timeout,
-        max_retries=max_retries,
-        fallback=fallback,
-        fault_plan=fault_plan,
-    )
-    obs = resolve_observability(
-        observability,
-        collect_stats=collect_stats,
-        trace=trace,
-        track_memory=track_memory,
-        dataset=dataset,
-    )
     request = MiningRequest(
         per=per,
         min_ps=min_ps,
@@ -202,8 +163,10 @@ def mine_recurring_patterns(
         jobs=jobs,
         shards=shards,
         max_events_in_memory=max_events_in_memory,
-        resilience=resilience,
-        observability=obs,
+        resilience=ResilienceOptions() if resilience is None else resilience,
+        observability=(
+            ObservabilityOptions() if observability is None else observability
+        ),
     )
     return execute_request(request, data)
 
@@ -344,64 +307,53 @@ def run_request(
 
     The low-level sibling of :func:`execute_request`: no telemetry
     packaging, no transform — the caller owns the database and the span
-    collector.  The sweep engine mines every grid cell through this,
-    so one :class:`~repro.core.request.MiningRequest` vocabulary covers
-    scheduled cells exactly like one-shot mines.  Returns ``(patterns,
-    stats, fault_events)``.
-    """
-    return _run_engine(
-        database,
-        request.per,
-        request.min_ps,
-        request.min_rec,
-        request.engine,
-        request.jobs,
-        request.resilience,
-        monitor=monitor,
-    )
-
-
-def _run_engine(
-    database: TransactionalDatabase,
-    per: Number,
-    min_ps: Union[int, float],
-    min_rec: int,
-    engine: str,
-    jobs: int = 1,
-    resilience: Optional[ResilienceOptions] = None,
-    monitor=None,
-) -> Tuple[RecurringPatternSet, MiningStats, List]:
-    """Dispatch through the registry: result, counters, fault log.
-
-    The fault log (third element) is always empty for serial runs and
-    for fault-free parallel runs; ``resilience`` only applies when
-    ``jobs > 1``.  ``monitor`` (a
+    collector.  The sweep engine mines every grid cell and the shard
+    pipeline every shard through this, so one
+    :class:`~repro.core.request.MiningRequest` vocabulary covers
+    scheduled cells and shards exactly like one-shot mines.  Returns
+    ``(patterns, stats, fault_events)``; the fault log is empty for
+    serial runs and for fault-free parallel runs.  ``monitor`` (a
     :class:`~repro.obs.progress.MiningMonitor`) receives live progress
-    on *both* paths — a serial mine reports a single-unit phase plus
-    the in-process heartbeat, so progress/metrics never silently drop
-    at ``jobs=1``.
+    on both paths.
     """
-    if jobs > 1:
+    if request.jobs > 1:
         from repro.parallel import ParallelMiner
 
         miner = ParallelMiner(
-            per, min_ps, min_rec, engine=engine, jobs=jobs,
-            resilience=resilience, monitor=monitor,
+            request.per, request.min_ps, request.min_rec,
+            engine=request.engine, jobs=request.jobs,
+            resilience=request.resilience, monitor=monitor,
         )
         result = miner.mine(database)
         return result, miner.last_stats or MiningStats(), miner.last_faults
-    if monitor is not None:
-        monitor.phase_started(f"mine[{engine}]", units=1)
-    try:
-        serial = get_engine(engine).factory(per, min_ps, min_rec)
-        result = serial.mine(database)
-        if monitor is not None:
-            monitor.unit_done(0)
-            monitor.serial_beat()
-    finally:
-        if monitor is not None:
-            monitor.phase_finished()
+    serial = get_engine(request.engine).factory(
+        request.per, request.min_ps, request.min_rec
+    )
+    result = mine_serial(serial, request.engine, database, monitor)
     return result, serial.last_stats or MiningStats(), []
+
+
+def mine_serial(
+    miner, engine: str, database: TransactionalDatabase, monitor=None
+) -> RecurringPatternSet:
+    """Run one registry-built engine object in-process.
+
+    ``monitor`` sees the run as a single-unit ``mine[engine]`` phase
+    plus the in-process heartbeat, so progress and metrics never go
+    silent at ``jobs=1``.  Both serial paths —
+    :func:`run_request` and ``ParallelMiner(jobs=1)`` — go through
+    here.
+    """
+    if monitor is None:
+        return miner.mine(database)
+    monitor.phase_started(f"mine[{engine}]", units=1)
+    try:
+        result = miner.mine(database)
+        monitor.unit_done(0)
+        monitor.serial_beat()
+    finally:
+        monitor.phase_finished()
+    return result
 
 
 def _as_database(data: Source) -> TransactionalDatabase:

@@ -1,9 +1,7 @@
 """Options objects for the public mining API.
 
-The façade historically accreted one flat keyword per knob — four
-resilience knobs (PR 3) and four observability knobs (PR 1) on top of
-the model thresholds.  These two frozen dataclasses bundle them so
-that every entry point (:func:`repro.mine_recurring_patterns`,
+Two frozen dataclasses bundle the cross-cutting knobs so that every
+entry point (:func:`repro.mine_recurring_patterns`,
 :func:`repro.sweep.run_sweep`, :class:`repro.parallel.ParallelMiner`,
 the CLI, the bench harness) shares the same vocabulary:
 
@@ -12,46 +10,23 @@ the CLI, the bench harness) shares the same vocabulary:
 * :class:`ObservabilityOptions` — what is measured and where it is
   written.
 
-The old flat keywords completed their deprecation cycle (warned since
-PR 5): :func:`resolve_resilience` / :func:`resolve_observability` now
-raise :class:`~repro.exceptions.ParameterError` naming the
-options-object (or :class:`~repro.core.request.MiningRequest`)
-replacement whenever a flat keyword is passed.
+No entry point takes these knobs as flat keywords; passing one (say
+``timeout=``) is a plain :class:`TypeError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Dict, Optional, Union
+from typing import IO, Optional, Union
 
 from repro.exceptions import ParameterError
 
-__all__ = [
-    "ObservabilityOptions",
-    "ResilienceOptions",
-    "UNSET",
-    "resolve_observability",
-    "resolve_resilience",
-]
-
-
-class _Unset:
-    """Sentinel distinguishing 'not passed' from any real value."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<unset>"
-
-
-#: Default for deprecated flat keywords: means "the caller did not
-#: pass this keyword at all".
-UNSET = _Unset()
+__all__ = ["ObservabilityOptions", "ResilienceOptions"]
 
 
 @dataclass(frozen=True)
 class ResilienceOptions:
-    """How parallel mining handles failing chunks (see PR 3's layer).
+    """How parallel mining handles failing chunks (:mod:`repro.parallel`).
 
     Attributes
     ----------
@@ -193,59 +168,3 @@ class ObservabilityOptions:
             or self.metrics is not None
             or self.monitor is not None
         )
-
-
-def _resolve(
-    kind: str,
-    options,
-    flat: Dict[str, object],
-    factory,
-    stacklevel: int,
-):
-    passed = {
-        name: value for name, value in flat.items() if value is not UNSET
-    }
-    if not passed:
-        return options if options is not None else factory()
-    if options is not None:
-        raise ParameterError(
-            f"pass either {kind}={factory.__name__}(...) or the flat "
-            f"keyword(s) {sorted(passed)} — not both"
-        )
-    raise ParameterError(
-        f"the flat keyword(s) {sorted(passed)} were removed; pass "
-        f"{kind}={factory.__name__}(...) or build a MiningRequest "
-        f"(see docs/api.md)"
-    )
-
-
-def resolve_resilience(
-    resilience: Optional[ResilienceOptions],
-    *,
-    stacklevel: int = 4,
-    **flat,
-) -> ResilienceOptions:
-    """Reject removed flat resilience keywords, resolve the object.
-
-    ``flat`` values equal to :data:`UNSET` count as "not passed".
-    Raises :class:`~repro.exceptions.ParameterError` naming the
-    options-object replacement when any flat keyword is used (the
-    deprecation cycle is over); returns ``resilience`` (or a default
-    instance) otherwise.
-    """
-    return _resolve(
-        "resilience", resilience, flat, ResilienceOptions, stacklevel
-    )
-
-
-def resolve_observability(
-    observability: Optional[ObservabilityOptions],
-    *,
-    stacklevel: int = 4,
-    **flat,
-) -> ObservabilityOptions:
-    """Reject removed flat observability keywords, as above."""
-    return _resolve(
-        "observability", observability, flat, ObservabilityOptions,
-        stacklevel,
-    )

@@ -1,8 +1,8 @@
 """The canonical candidate ordering shared by the vertical engines.
 
 Both vertical miners (:class:`repro.core.rp_eclat.RPEclat` and
-:class:`repro.core.accel.FastRPEclat`) explore the candidate-item
-lattice depth-first from a sorted list of first-item candidates.  The
+:class:`repro.core.rp_eclat_vec.RPEclatVec`) explore the candidate-item
+lattice from a sorted list of first-item candidates.  The
 order matters twice:
 
 * **determinism** — two engines (or two runs) must enumerate the same

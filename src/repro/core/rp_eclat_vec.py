@@ -1,12 +1,13 @@
 """The batched columnar vertical engine (``rp-eclat-vec``).
 
-:class:`~repro.core.accel.FastRPEclat` (``rp-eclat-np``) already swaps
-the per-candidate *arithmetic* to NumPy, but still walks the lattice one
-edge at a time — a dozen tiny array calls per extension, whose fixed
-dispatch overhead dwarfs the work on real candidate lists.  This engine
-changes the unit of vectorisation from the edge to the **lattice
-level**: the candidate lattice is explored breadth-first, and all
-extension edges of a whole level are evaluated in one batched pass —
+Swapping only the per-candidate *arithmetic* to NumPy still walks the
+lattice one edge at a time — a dozen tiny array calls per extension,
+whose fixed dispatch overhead dwarfs the work on real candidate lists
+(``docs/performance.md`` measures such an engine at 15-35x slower than
+this one).  This engine changes the unit of vectorisation from the edge
+to the **lattice level**: the candidate lattice is explored
+breadth-first, and all extension edges of a whole level are evaluated
+in one batched pass —
 
 1. ts-lists are transaction-id arrays into the shared
    :class:`~repro.timeseries.columnar.ColumnarTDB` timestamp column,

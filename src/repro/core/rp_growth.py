@@ -32,9 +32,7 @@ from repro.obs.spans import span
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.events import Item
 
-# ``MiningStats`` lived here historically; it is re-exported for the
-# many callers that import it from this module.
-__all__ = ["MiningStats", "RPGrowth", "conditional_tree_from_base"]
+__all__ = ["RPGrowth", "conditional_tree_from_base"]
 
 #: One conditional-pattern-base entry: the prefix path (root→parent
 #: order) and the tail node's ts-list.

@@ -20,8 +20,8 @@ Cross-cutting measurement for every mining path:
   ``repro-mine trace`` subcommand).
 
 Most users never touch this package directly — they pass
-``collect_stats=True`` (and friends) to
-:func:`repro.mine_recurring_patterns`, or ``--profile`` /
+``observability=ObservabilityOptions(collect_stats=True)`` (and
+friends) to :func:`repro.mine_recurring_patterns`, or ``--profile`` /
 ``--trace-out`` / ``--progress`` to the CLI — but the pieces are
 public and composable.
 """

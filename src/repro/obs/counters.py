@@ -1,8 +1,7 @@
 """The shared mining-counter protocol.
 
-Every engine — ``rp-growth``, ``rp-eclat``, ``rp-eclat-np``,
-``rp-eclat-vec``, ``naive``
-— and the streaming monitor populates one :class:`MiningStats`
+Every engine — ``rp-growth``, ``rp-eclat``, ``rp-eclat-vec``,
+``naive`` — and the streaming monitor populates one :class:`MiningStats`
 instance per run, so the ablation benches and the run reports can
 compare engines counter-for-counter.  The dataclass started life
 inside ``repro.core.rp_growth``; it lives here now so that the

@@ -20,7 +20,8 @@ Usage::
 
 Engines call :func:`span` unconditionally around their phases; callers
 that want telemetry activate a collector (directly, or through
-``mine_recurring_patterns(..., collect_stats=True)``).
+``mine_recurring_patterns(...,
+observability=ObservabilityOptions(collect_stats=True))``).
 
 With ``SpanCollector(track_memory=True)`` each span additionally
 records the peak ``tracemalloc`` allocation observed while it was the

@@ -24,7 +24,7 @@ byte-identical to not using this package at all.
 
 from repro.exceptions import ChunkFailedError
 from repro.parallel.faults import FAULT_KINDS, FaultPlan, FaultSpec
-from repro.parallel.miner import PARALLEL_ENGINES, ParallelMiner, default_jobs
+from repro.parallel.miner import ParallelMiner, default_jobs
 from repro.parallel.partition import (
     collect_growth_tasks,
     growth_task_size,
@@ -38,7 +38,6 @@ from repro.parallel.resilience import (
 )
 
 __all__ = [
-    "PARALLEL_ENGINES",
     "ParallelMiner",
     "default_jobs",
     "collect_growth_tasks",

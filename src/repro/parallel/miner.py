@@ -21,6 +21,11 @@ crashed, hung or misbehaving worker costs a retry (and, after
 ``max_retries``, an in-process serial re-mine or a
 :class:`~repro.exceptions.ChunkFailedError`), never the whole run.
 
+Every engine object — the parent's first scan, each pool worker's and
+the serial fallback's — is built by the engine's registry factory, so
+an engine registered with ``supports_jobs`` partitions exactly like a
+built-in one.
+
 See ``docs/performance.md`` for the partitioning scheme, the chunking
 policy, when ``jobs > 1`` actually helps, and the "Failure handling"
 section for the retry/fallback semantics.
@@ -34,7 +39,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro._validation import Number
-from repro.core.engines import PARALLEL_ENGINES, get_engine
+from repro.core.engines import engine_names, get_engine
+from repro.core.miner import mine_serial
 from repro.core.model import (
     MiningParameters,
     RecurringPattern,
@@ -48,22 +54,10 @@ from repro.obs.counters import MiningStats
 from repro.obs.spans import Span, span
 from repro.parallel import partition as _partition
 from repro.parallel import worker as _worker
-from repro.parallel.faults import FaultPlan
-from repro.parallel.resilience import (
-    FALLBACK_MODES,
-    FaultEvent,
-    RetryPolicy,
-    supervise,
-)
+from repro.parallel.resilience import FaultEvent, RetryPolicy, supervise
 from repro.timeseries.database import TransactionalDatabase
 
-__all__ = ["ParallelMiner", "PARALLEL_ENGINES", "default_jobs"]
-
-# PARALLEL_ENGINES is re-exported from the engine registry
-# (repro.core.engines): the live view over every engine whose spec has
-# ``supports_jobs``.  ``naive`` lacks the capability by design: it
-# exists to be an obviously-correct reference, and a partitioned
-# reference is no longer obviously correct.
+__all__ = ["ParallelMiner", "default_jobs"]
 
 
 def default_jobs() -> int:
@@ -79,7 +73,12 @@ class ParallelMiner:
     per, min_ps, min_rec:
         Model thresholds, exactly as for the serial engines.
     engine:
-        One of :data:`PARALLEL_ENGINES`.
+        A registered engine with the ``supports_jobs`` capability
+        (``engine_names(supports_jobs=True)``).  ``naive`` lacks it by
+        design: a partitioned reference is no longer obviously correct.
+        Workers build the engine by name from their own copy of the
+        registry — inherited under ``fork``, rebuilt by imports under
+        ``spawn``.
     jobs:
         Worker process count; ``None`` means one per CPU.  ``jobs=1``
         delegates to the serial engine in-process — no pool, no pickling,
@@ -96,35 +95,25 @@ class ParallelMiner:
         travels through the pool initializer, never through globals
         that only exist in the parent.
     pruning, max_length, item_order:
-        Forwarded to the underlying engine (``pruning`` to RP-eclat,
-        ``item_order`` to RP-growth's tree build).
-    timeout:
-        Per-chunk deadline in seconds (measured from submission to the
-        pool).  ``None`` (default) disables deadlines.  An expired
-        chunk is treated like a crashed one: retried, then handled by
-        ``fallback``.
-    max_retries:
-        Failed executions a chunk may accumulate before ``fallback``
-        applies (default 2; the first execution is not a retry).
-    fallback:
-        What to do with a chunk whose retries are exhausted:
-        ``"serial"`` (default) re-mines it in-process with the serial
-        engine so the run always completes; ``"raise"`` raises
-        :class:`~repro.exceptions.ChunkFailedError` naming the missing
-        prefixes and carrying the partial pattern set.
+        Forwarded to the engine's registry factory (``pruning`` to
+        RP-eclat, ``item_order`` to RP-growth's tree build).
     retry_backoff:
         Base delay in seconds before the first retry of a chunk
         (doubles per retry, deterministic jitter added; ``0`` retries
         immediately).
-    fault_plan:
-        A :class:`~repro.parallel.faults.FaultPlan` injected into the
-        pool workers — deterministic failure for tests.  ``None``
-        (default, production) injects nothing.
     resilience:
-        A :class:`~repro.core.options.ResilienceOptions` bundling
-        ``timeout`` / ``max_retries`` / ``fallback`` / ``fault_plan``
-        — the same object the façade and the sweep engine accept.
-        Mutually exclusive with passing those four knobs flat.
+        A :class:`~repro.core.options.ResilienceOptions` — the same
+        object the façade and the sweep engine accept:
+        ``timeout`` is the per-chunk deadline in seconds (measured from
+        submission to the pool; an expired chunk is treated like a
+        crashed one); ``max_retries`` the failed executions a chunk may
+        accumulate before ``fallback`` applies (the first execution is
+        not a retry); ``fallback="serial"`` re-mines an exhausted chunk
+        in-process so the run always completes, ``"raise"`` raises
+        :class:`~repro.exceptions.ChunkFailedError` naming the missing
+        prefixes and carrying the partial pattern set; ``fault_plan``
+        injects deterministic worker failures (tests only).  ``None``
+        means ``ResilienceOptions()``.
     supervised:
         ``False`` bypasses the resilience layer entirely (raw PR-2
         fan-out: one ``future.result()`` per chunk, a worker crash
@@ -160,41 +149,19 @@ class ParallelMiner:
         pruning: str = "erec",
         max_length: Optional[int] = None,
         item_order: str = "support-desc",
-        timeout: Optional[float] = None,
-        max_retries: int = 2,
-        fallback: str = "serial",
         retry_backoff: float = 0.05,
-        fault_plan: Optional[FaultPlan] = None,
         resilience: Optional[ResilienceOptions] = None,
         supervised: bool = True,
         monitor=None,
     ):
-        if engine not in PARALLEL_ENGINES:
+        parallel = engine_names(supports_jobs=True)
+        if engine not in parallel:
             raise ParameterError(
                 f"engine {engine!r} is not parallel-capable; "
-                f"expected one of {PARALLEL_ENGINES}"
+                f"expected one of {parallel}"
             )
-        if resilience is not None:
-            flat = {
-                "timeout": (timeout, None),
-                "max_retries": (max_retries, 2),
-                "fallback": (fallback, "serial"),
-                "fault_plan": (fault_plan, None),
-            }
-            conflicts = sorted(
-                name
-                for name, (value, default) in flat.items()
-                if value != default
-            )
-            if conflicts:
-                raise ParameterError(
-                    f"pass either resilience=ResilienceOptions(...) or "
-                    f"the flat keyword(s) {conflicts} — not both"
-                )
-            timeout = resilience.timeout
-            max_retries = resilience.max_retries
-            fallback = resilience.fallback
-            fault_plan = resilience.fault_plan
+        if resilience is None:
+            resilience = ResilienceOptions()
         if jobs is None:
             jobs = default_jobs()
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
@@ -202,10 +169,6 @@ class ParallelMiner:
         if chunks_per_job < 1:
             raise ParameterError(
                 f"chunks_per_job must be >= 1, got {chunks_per_job!r}"
-            )
-        if fallback not in FALLBACK_MODES:
-            raise ParameterError(
-                f"fallback must be one of {FALLBACK_MODES}, got {fallback!r}"
             )
         self.params = MiningParameters(per=per, min_ps=min_ps, min_rec=min_rec)
         self.engine = engine
@@ -215,12 +178,14 @@ class ParallelMiner:
         self.pruning = pruning
         self.max_length = max_length
         self.item_order = item_order
-        # Validates timeout / max_retries / backoff eagerly.
+        # Validates the backoff eagerly.
         self.retry_policy = RetryPolicy(
-            timeout=timeout, max_retries=max_retries, backoff=retry_backoff
+            timeout=resilience.timeout,
+            max_retries=resilience.max_retries,
+            backoff=retry_backoff,
         )
-        self.fallback = fallback
-        self.fault_plan = fault_plan
+        self.fallback = resilience.fallback
+        self.fault_plan = resilience.fault_plan
         self.supervised = supervised
         self.monitor = monitor
         self.last_stats: Optional[MiningStats] = None
@@ -236,20 +201,8 @@ class ParallelMiner:
         """Mine ``database``, identical in result to the serial engine."""
         self.last_faults = []
         if self.jobs == 1:
-            # Serial delegation still reports: a single-unit phase plus
-            # the in-process heartbeat, so progress/metrics never go
-            # silent just because jobs=1 (see docs/observability.md).
-            if self.monitor is not None:
-                self.monitor.phase_started(f"mine[{self.engine}]", units=1)
-            try:
-                serial = self._serial_engine()
-                result = serial.mine(database)
-                if self.monitor is not None:
-                    self.monitor.unit_done(0)
-                    self.monitor.serial_beat()
-            finally:
-                if self.monitor is not None:
-                    self.monitor.phase_finished()
+            serial = self._serial_engine()
+            result = mine_serial(serial, self.engine, database, self.monitor)
             self.last_stats = serial.last_stats
             return result
         stats = MiningStats()
@@ -282,8 +235,8 @@ class ParallelMiner:
             self._run_pool(
                 initializer=_worker.init_vertical_worker,
                 initargs=(
-                    self.engine, params, self.pruning, self.max_length,
-                    candidates, getattr(serial, "parallel_context", None),
+                    self._recipe(params), candidates,
+                    getattr(serial, "parallel_context", None),
                 ),
                 chunk_fn=_worker.mine_vertical_chunk,
                 chunks=chunks,
@@ -332,7 +285,7 @@ class ParallelMiner:
                 ]
                 self._run_pool(
                     initializer=_worker.init_growth_worker,
-                    initargs=(params, tree.order, self.max_length),
+                    initargs=(self._recipe(params), tree.order),
                     chunk_fn=_worker.mine_growth_chunk,
                     chunks=payload_chunks,
                     found=found,
@@ -477,11 +430,18 @@ class ParallelMiner:
             return multiprocessing.get_context(context)
         return context
 
-    def _serial_engine(self):
+    def _recipe(self, params) -> _worker.EngineRecipe:
         # The registry factory accepts the union of engine options and
         # forwards only what the concrete engine understands.
-        return get_engine(self.engine).factory(
-            self.params.per, self.params.min_ps, self.params.min_rec,
-            item_order=self.item_order, pruning=self.pruning,
-            max_length=self.max_length,
+        return _worker.EngineRecipe(
+            self.engine,
+            params,
+            {
+                "item_order": self.item_order,
+                "pruning": self.pruning,
+                "max_length": self.max_length,
+            },
         )
+
+    def _serial_engine(self):
+        return self._recipe(self.params).build()

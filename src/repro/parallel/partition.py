@@ -3,7 +3,7 @@
 Both engine families decompose into independent sub-problems along
 their first explored dimension:
 
-* **vertical engines** (RP-eclat, FastRPEclat) — the depth-first
+* **vertical engines** (RP-eclat, RP-eclat-vec) — the depth-first
   lattice walk rooted at candidate index ``i`` only ever touches
   ``candidates[i]`` and the extensions after it in the canonical order
   (:mod:`repro.core.ordering`).  Each root index is therefore a

@@ -6,6 +6,10 @@ once through the pool initializer (kept in a module global, which is
 both ``fork``- and ``spawn``-safe because this module is importable by
 name) and each task payload afterwards is small — candidate indices
 for the vertical engines, serialized conditional bases for RP-growth.
+A worker builds its engine from the engine's name through the registry
+factory (:func:`repro.core.engines.get_engine`), exactly as the
+parent does, so an engine registered with ``supports_jobs`` runs its
+own code in the pool and in the serial fallback.
 
 Every chunk function returns a ``(patterns, stats, spans)`` triple:
 
@@ -21,13 +25,15 @@ Every chunk function returns a ``(patterns, stats, spans)`` triple:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from repro.core.engines import get_engine
 from repro.core.model import (
+    MiningParameters,
     RecurringPattern,
     ResolvedParameters,
 )
-from repro.core.rp_growth import RPGrowth, conditional_tree_from_base
+from repro.core.rp_growth import conditional_tree_from_base
 from repro.obs.counters import MiningStats
 from repro.obs.spans import SpanCollector, span
 from repro.parallel import faults as _faults
@@ -35,22 +41,45 @@ from repro.parallel.partition import GrowthTask
 from repro.timeseries.events import Item
 
 __all__ = [
+    "EngineRecipe",
     "init_vertical_worker",
     "mine_vertical_chunk",
     "init_growth_worker",
     "mine_growth_chunk",
 ]
 
+
+class EngineRecipe(NamedTuple):
+    """What a worker needs to build its own engine object."""
+
+    #: Engine-registry name.
+    engine: str
+    #: The thresholds (resolved ones in the workers).
+    params: Union[MiningParameters, ResolvedParameters]
+    #: Factory options (``item_order``, ``pruning``, ``max_length``).
+    options: dict
+
+    def build(self, context: object = None):
+        """A fresh engine from the registry factory, with ``context``
+        handed to its ``attach_context`` when given.  Chunks build one
+        each, so no scratch state leaks from a failed chunk into its
+        retry."""
+        miner = get_engine(self.engine).factory(
+            self.params.per, self.params.min_ps, self.params.min_rec,
+            **self.options,
+        )
+        if context is not None:
+            miner.attach_context(context)
+        return miner
+
+
 #: Per-process engine state installed by the pool initializer.
-_VERTICAL_STATE: Optional[Tuple[str, ResolvedParameters, str, Optional[int], list, object]] = None
-_GROWTH_STATE: Optional[Tuple[ResolvedParameters, Dict[Item, int], Optional[int]]] = None
+_VERTICAL_STATE: Optional[Tuple[EngineRecipe, list, object]] = None
+_GROWTH_STATE: Optional[Tuple[EngineRecipe, Dict[Item, int]]] = None
 
 
 def init_vertical_worker(
-    engine: str,
-    params: ResolvedParameters,
-    pruning: str,
-    max_length: Optional[int],
+    recipe: EngineRecipe,
     candidates: list,
     context: object = None,
 ) -> None:
@@ -65,7 +94,7 @@ def init_vertical_worker(
     ``None`` for the engines that need nothing beyond candidates).
     """
     global _VERTICAL_STATE
-    _VERTICAL_STATE = (engine, params, pruning, max_length, candidates, context)
+    _VERTICAL_STATE = (recipe, candidates, context)
 
 
 def mine_vertical_chunk(
@@ -79,30 +108,13 @@ def mine_vertical_chunk(
     the serial search space.
     """
     assert _VERTICAL_STATE is not None, "worker initializer did not run"
-    engine, params, pruning, max_length, candidates, context = _VERTICAL_STATE
+    recipe, candidates, context = _VERTICAL_STATE
+    params = recipe.params
     stats = MiningStats()
     found: List[RecurringPattern] = []
     collector = SpanCollector()
     with collector, span(f"chunk[{chunk_id}]"):
-        if engine == "rp-eclat":
-            from repro.core.rp_eclat import RPEclat
-
-            miner = RPEclat(
-                params.per, params.min_ps, params.min_rec,
-                pruning=pruning, max_length=max_length,
-            )
-        elif engine == "rp-eclat-vec":
-            from repro.core.rp_eclat_vec import RPEclatVec
-
-            miner = RPEclatVec(
-                params.per, params.min_ps, params.min_rec,
-                max_length=max_length,
-            )
-            miner.attach_context(context)
-        else:
-            from repro.core.accel import FastRPEclat
-
-            miner = FastRPEclat(params.per, params.min_ps, params.min_rec)
+        miner = recipe.build(context)
         for index in indices:
             # Between lattice subtrees is the natural heartbeat point: a
             # worker that stops beating is stuck inside one subtree.
@@ -115,14 +127,10 @@ def mine_vertical_chunk(
     return found, stats, [root.as_dict() for root in collector.spans]
 
 
-def init_growth_worker(
-    params: ResolvedParameters,
-    order: Dict[Item, int],
-    max_length: Optional[int],
-) -> None:
+def init_growth_worker(recipe: EngineRecipe, order: Dict[Item, int]) -> None:
     """Install the shared RP-growth state in this worker process."""
     global _GROWTH_STATE
-    _GROWTH_STATE = (params, order, max_length)
+    _GROWTH_STATE = (recipe, order)
 
 
 def mine_growth_chunk(
@@ -137,12 +145,11 @@ def mine_growth_chunk(
     it with ``suffix = (item,)``.
     """
     assert _GROWTH_STATE is not None, "worker initializer did not run"
-    params, order, max_length = _GROWTH_STATE
+    recipe, order = _GROWTH_STATE
+    params = recipe.params
     stats = MiningStats()
     found: List[RecurringPattern] = []
-    miner = RPGrowth(
-        params.per, params.min_ps, params.min_rec, max_length=max_length
-    )
+    miner = recipe.build()
     collector = SpanCollector()
     with collector, span(f"chunk[{chunk_id}]"):
         for item, base in tasks:

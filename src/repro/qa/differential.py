@@ -34,7 +34,7 @@ from typing import (
     Union,
 )
 
-from repro.core.engines import PARALLEL_ENGINES, get_engine
+from repro.core.engines import engine_names, get_engine
 from repro.core.miner import mine_recurring_patterns
 from repro.core.naive import mine_recurring_patterns_naive
 from repro.timeseries.database import TransactionalDatabase
@@ -301,13 +301,15 @@ def check_case(
     seed: int,
     rows: Rows,
     params: CaseParams,
-    engines: Sequence[str] = PARALLEL_ENGINES,
+    engines: Optional[Sequence[str]] = None,
     jobs_values: Sequence[int] = (1,),
     minimize: bool = True,
 ) -> Tuple[int, List[DifferentialFailure]]:
     """Check one case against the oracle for every engine/jobs combo.
 
-    Returns ``(checks_run, failures)``.  Each failure is minimized with
+    ``engines`` defaults to every parallel-capable engine
+    (``engine_names(supports_jobs=True)``).  Returns
+    ``(checks_run, failures)``.  Each failure is minimized with
     :func:`minimize_case` when ``minimize`` is true (differential
     sweeps leave it on; callers in a hurry can skip the shrink).
     """
@@ -320,6 +322,8 @@ def check_case(
     )
     checks = 0
     failures: List[DifferentialFailure] = []
+    if engines is None:
+        engines = engine_names(supports_jobs=True)
     for engine in engines:
         for jobs in jobs_values:
             if jobs > 1 and not get_engine(engine).supports_jobs:
@@ -356,7 +360,7 @@ def check_case(
 def run_differential(
     n_cases: int = 50,
     base_seed: int = BASE_SEED,
-    engines: Sequence[str] = PARALLEL_ENGINES,
+    engines: Optional[Sequence[str]] = None,
     jobs_values: Sequence[int] = (1,),
     deadline: Optional[float] = None,
     minimize: bool = True,

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.engines import ENGINES, PARALLEL_ENGINES
+from repro.core.engines import engine_names, get_engine
 from repro.qa.differential import (
     BASE_SEED,
     DifferentialResult,
@@ -64,8 +64,8 @@ class QAConfig:
     seed: int = BASE_SEED
     #: Where the golden snapshots live (``None`` = repo default).
     golden_dir: Optional[str] = None
-    #: Engines to exercise.
-    engines: Sequence[str] = ENGINES
+    #: Engines to exercise (default: every registered engine).
+    engines: Sequence[str] = field(default_factory=engine_names)
     #: Worker counts for the relation matrix (``naive`` runs jobs=1
     #: only, by design).
     jobs_values: Sequence[int] = (1, 2)
@@ -278,7 +278,9 @@ def run_qa(config: Optional[QAConfig] = None) -> QAReport:
         )
 
     if "differential" not in skipped:
-        engines = [e for e in config.engines if e in PARALLEL_ENGINES]
+        engines = [
+            e for e in config.engines if get_engine(e).supports_jobs
+        ]
         _tell(
             f"qa: differential sweep (<= {config.differential_cases} "
             f"cases, budget-bound)..."

@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.engines import ENGINES, get_engine
+from repro.core.engines import engine_names, get_engine
 from repro.core.model import PeriodicInterval
 from repro.exceptions import DataFormatError
 from repro.qa.differential import CaseParams, canonical, mine_canonical
@@ -55,7 +55,7 @@ GOLDEN_SCHEMA = "repro-qa-golden/v1"
 #: every registered non-exhaustive engine (the exhaustive reference is
 #: opted in per case, as the running example does below).
 _PRUNING_ENGINES = tuple(
-    name for name in ENGINES if not get_engine(name).exhaustive
+    name for name in engine_names() if not get_engine(name).exhaustive
 )
 
 

@@ -79,7 +79,7 @@ from typing import (
 import random
 
 from repro._validation import resolve_count_threshold
-from repro.core.engines import ENGINES, get_engine
+from repro.core.engines import engine_names, get_engine
 from repro.core.model import PeriodicInterval
 from repro.qa.differential import (
     BASE_SEED,
@@ -804,17 +804,18 @@ def default_case_corpus(
 
 
 def engine_matrix(
-    engines: Sequence[str] = ENGINES,
+    engines: Optional[Sequence[str]] = None,
     jobs_values: Sequence[int] = (1, 2),
 ) -> List[Tuple[str, int]]:
     """Every (engine, jobs) combination the qa gate must exercise.
 
-    Engines without the registry's ``supports_jobs`` capability (the
-    single-process ``naive`` reference) appear with ``jobs=1`` only;
-    the rest appear at every requested ``jobs`` level.
+    ``engines`` defaults to every registered engine.  Engines without
+    the registry's ``supports_jobs`` capability (the single-process
+    ``naive`` reference) appear with ``jobs=1`` only; the rest appear
+    at every requested ``jobs`` level.
     """
     matrix = []
-    for engine in engines:
+    for engine in engine_names() if engines is None else engines:
         for jobs in jobs_values:
             if jobs > 1 and not get_engine(engine).supports_jobs:
                 continue
@@ -1001,7 +1002,7 @@ class RelationsResult:
 def run_relations(
     cases: Optional[Sequence[RelationCase]] = None,
     relations: Sequence[MetamorphicRelation] = RELATIONS,
-    engines: Sequence[str] = ENGINES,
+    engines: Optional[Sequence[str]] = None,
     jobs_values: Sequence[int] = (1, 2),
     minimize: bool = True,
     deadline: Optional[float] = None,

@@ -15,7 +15,7 @@ from typing import IO, Optional, Union
 
 from repro.analysis import co_seasonal_groups, seasonality_score
 from repro.core.model import RecurringPatternSet
-from repro.core.rp_growth import MiningStats
+from repro.obs.counters import MiningStats
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.stats import describe_database
 from repro.viz import render_timeline

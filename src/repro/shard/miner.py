@@ -296,8 +296,9 @@ def _mine_sharded(
     monitor,
     shard_count_hint: Optional[int] = None,
 ) -> ShardedOutcome:
-    from repro.core.miner import _run_engine
-    from repro.core.request import resolve_jobs
+    from repro.core.miner import run_request
+    from repro.core.options import ResilienceOptions
+    from repro.core.request import MiningRequest, resolve_jobs
 
     MiningParameters(per=per, min_ps=min_ps, min_rec=min_rec)
     jobs = resolve_jobs(jobs, engine)
@@ -305,6 +306,19 @@ def _mine_sharded(
         empty = ShardRunReport(0, (), (), 0, 0, MergeStats(0, 0, 0))
         return RecurringPatternSet(), MiningStats(), [], empty
     min_ps_abs = resolve_count_threshold(min_ps, "min_ps", total)
+    # Every shard mines at the run's absolute min_ps but min_rec=1: a
+    # pattern with one interesting interval inside a shard is a
+    # candidate.
+    shard_request = MiningRequest(
+        per=per,
+        min_ps=min_ps_abs,
+        min_rec=1,
+        engine=engine,
+        jobs=jobs,
+        resilience=(
+            ResilienceOptions() if resilience is None else resilience
+        ),
+    )
     expected_shards = (
         plan.shard_count if plan is not None else shard_count_hint
     )
@@ -327,9 +341,8 @@ def _mine_sharded(
                     collector.cut(previous_end)
                     cut_timestamps.append(previous_end)
                 with span(f"shard[{index}]"):
-                    found, shard_stats, shard_faults = _run_engine(
-                        shard_db, per, min_ps_abs, 1, engine, jobs,
-                        resilience, monitor=monitor,
+                    found, shard_stats, shard_faults = run_request(
+                        shard_db, shard_request, monitor=monitor
                     )
                 stats.merge(shard_stats)
                 faults.extend(shard_faults)

@@ -1,9 +1,8 @@
 """Multi-tenant streaming recurrence: monitors, shards, checkpoints.
 
 This package grows the single-tenant
-:class:`~repro.streaming.monitor.StreamingRecurrenceMonitor` (formerly
-``repro.core.streaming``, which remains as a compatibility re-export)
-into the service-shaped streaming layer of ROADMAP open item 2:
+:class:`~repro.streaming.monitor.StreamingRecurrenceMonitor` into a
+service-shaped streaming layer:
 
 :mod:`repro.streaming.monitor`
     The O(1)-per-event monitor, now with batch-equal same-timestamp

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._validation import Number
-from repro.core.engines import get_engine
 from repro.core.model import MiningParameters
 from repro.core.options import ResilienceOptions
+from repro.core.request import MiningRequest, resolve_jobs
 from repro.exceptions import ParameterError
 
 __all__ = ["GridKey", "SweepPlan"]
@@ -105,20 +105,7 @@ class SweepPlan:
                     MiningParameters(
                         per=per, min_ps=min_ps, min_rec=min_rec
                     )
-        spec = get_engine(self.engine)
-        jobs = self.jobs
-        if jobs is None:
-            jobs = 1
-        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-            raise ParameterError(
-                f"jobs must be a positive int, got {self.jobs!r}"
-            )
-        if jobs > 1 and not spec.supports_jobs:
-            raise ParameterError(
-                f"engine {self.engine!r} does not support jobs > 1; its "
-                "registry entry lacks the supports_jobs capability"
-            )
-        object.__setattr__(self, "jobs", jobs)
+        object.__setattr__(self, "jobs", resolve_jobs(self.jobs, self.engine))
         if isinstance(self.repeats, bool) or not isinstance(
             self.repeats, int
         ) or self.repeats < 1:
@@ -166,7 +153,7 @@ class SweepPlan:
     # ------------------------------------------------------------------
     # MiningRequest view
     # ------------------------------------------------------------------
-    def cell_request(self, key: GridKey) -> "MiningRequest":
+    def cell_request(self, key: GridKey) -> MiningRequest:
         """One cell as the unified :class:`~repro.core.request.MiningRequest`.
 
         The sweep engine executes mined cells through exactly this
@@ -180,8 +167,6 @@ class SweepPlan:
         >>> plan.cell_request((2, 3, 1)).cache_key("d1")
         ('d1', 'rp-growth', 2, 3, 1)
         """
-        from repro.core.request import MiningRequest
-
         per, min_ps, min_rec = key
         return MiningRequest(
             per=per,

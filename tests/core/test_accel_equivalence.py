@@ -13,7 +13,7 @@ column cannot represent exactly.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.accel import (
@@ -109,6 +109,8 @@ class TestSegmentedIntervalStats:
         per=st.integers(1, 10),
         min_ps=st.integers(1, 5),
     )
+    # Float timestamps (and a float per) take the float64 column path.
+    @example(sequences=[[0.5, 1.0, 9.5, 10.0]], per=0.5, min_ps=2)
     def test_matches_per_sequence_python(self, sequences, per, min_ps):
         """One batched call == the pure-python loop over segments."""
         sequences = [s for s in sequences if s]
@@ -127,7 +129,7 @@ class TestSegmentedIntervalStats:
             recurrence(s, per, min_ps) for s in sequences
         ]
         runs = [
-            (int(s), (int(ts[f]), int(ts[l])))
+            (int(s), (ts[f].item(), ts[l].item()))
             for s, f, l in zip(seg, first, last)
         ]
         expected = [

@@ -14,20 +14,19 @@ the paper's running example (Table 2) the counters must agree:
 
 import pytest
 
-from repro.core.miner import ENGINES, mine_recurring_patterns
+from repro.core.engines import engine_names
+from repro.core.miner import mine_recurring_patterns
 from repro.core.options import ObservabilityOptions
 from repro.datasets import paper_running_example
 
-PRUNING_ENGINES = (
-    "rp-growth", "rp-eclat", "rp-eclat-np", "rp-eclat-vec"
-)
+PRUNING_ENGINES = ("rp-growth", "rp-eclat", "rp-eclat-vec")
 
 
 @pytest.fixture(scope="module")
 def per_engine_runs():
     database = paper_running_example()
     runs = {}
-    for engine in ENGINES:
+    for engine in engine_names():
         found, telemetry = mine_recurring_patterns(
             database, per=2, min_ps=3, min_rec=2, engine=engine,
             observability=ObservabilityOptions(collect_stats=True),
@@ -84,14 +83,14 @@ class TestCounterParity:
     def test_structure_counters_match_engine_family(self, per_engine_runs):
         assert per_engine_runs["rp-growth"][1].stats.initial_tree_nodes > 0
         assert per_engine_runs["rp-growth"][1].stats.tid_list_entries == 0
-        for engine in ("rp-eclat", "rp-eclat-np", "rp-eclat-vec"):
+        for engine in ("rp-eclat", "rp-eclat-vec"):
             stats = per_engine_runs[engine][1].stats
             assert stats.initial_tree_nodes == 0, engine
             assert stats.tid_list_entries > 0, engine
 
 
 class TestTelemetryTransparency:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", engine_names())
     def test_collect_stats_returns_identical_patterns(
         self, engine, per_engine_runs
     ):
@@ -107,7 +106,7 @@ class TestTelemetryTransparency:
             assert twin.recurrence == pattern.recurrence
             assert twin.intervals == pattern.intervals
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", engine_names())
     def test_spans_cover_the_engine_phases(self, engine, per_engine_runs):
         telemetry = per_engine_runs[engine][1]
         names = {s.name for root in telemetry.spans for _, s in root.walk()}

@@ -1,12 +1,9 @@
-"""The engine registry: specs, views, capability-driven behaviour."""
+"""The engine registry: specs, names, capability-driven behaviour."""
 
 import pytest
 
 from repro.core.engines import (
-    ENGINES,
-    PARALLEL_ENGINES,
     EngineSpec,
-    EngineView,
     engine_names,
     get_engine,
     register_engine,
@@ -19,12 +16,13 @@ from repro.exceptions import ParameterError
 
 class TestRegistry:
     def test_builtin_engines_in_order(self):
-        assert tuple(ENGINES) == (
-            "rp-growth", "rp-eclat", "rp-eclat-np", "rp-eclat-vec", "naive"
+        assert engine_names() == (
+            "rp-growth", "rp-eclat", "rp-eclat-vec", "naive"
         )
-        assert tuple(PARALLEL_ENGINES) == (
-            "rp-growth", "rp-eclat", "rp-eclat-np", "rp-eclat-vec"
+        assert engine_names(supports_jobs=True) == (
+            "rp-growth", "rp-eclat", "rp-eclat-vec"
         )
+        assert engine_names(supports_jobs=False) == ("naive",)
 
     def test_get_engine_returns_spec(self):
         spec = get_engine("rp-growth")
@@ -51,13 +49,13 @@ class TestRegistry:
             "test-dummy", lambda *a, **k: None, description="test only"
         )
         try:
-            assert "test-dummy" in ENGINES
+            assert "test-dummy" in engine_names()
             assert get_engine("test-dummy") is spec
             # Not parallel-capable by default.
-            assert "test-dummy" not in PARALLEL_ENGINES
+            assert "test-dummy" not in engine_names(supports_jobs=True)
         finally:
             unregister_engine("test-dummy")
-        assert "test-dummy" not in ENGINES
+        assert "test-dummy" not in engine_names()
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError, match="name"):
@@ -66,34 +64,6 @@ class TestRegistry:
             EngineSpec(name="x", factory="not-callable")
         with pytest.raises(ParameterError, match="family"):
             EngineSpec(name="x", factory=lambda: None, family="magic")
-
-
-class TestEngineView:
-    def test_behaves_like_a_tuple(self):
-        assert len(ENGINES) == 5
-        assert ENGINES[0] == "rp-growth"
-        assert "naive" in ENGINES
-        assert ENGINES == (
-            "rp-growth", "rp-eclat", "rp-eclat-np", "rp-eclat-vec", "naive"
-        )
-        assert list(ENGINES) == list(engine_names())
-
-    def test_concatenates_like_a_tuple(self):
-        combined = PARALLEL_ENGINES + ("naive",)
-        assert isinstance(combined, tuple)
-        assert combined == tuple(ENGINES)
-        assert ("x",) + PARALLEL_ENGINES == ("x",) + tuple(PARALLEL_ENGINES)
-
-    def test_view_is_live(self):
-        view = EngineView()
-        before = len(view)
-        register_engine("test-live", lambda *a, **k: None)
-        try:
-            assert len(view) == before + 1
-            assert "test-live" in ENGINES
-        finally:
-            unregister_engine("test-live")
-        assert len(view) == before
 
 
 class _ReversingEngine:
@@ -142,3 +112,31 @@ class TestCapabilityDrivenDispatch:
                 )
         finally:
             unregister_engine("test-delegate")
+
+    def test_registered_vertical_engine_mines_with_jobs(self):
+        """Regression: pool workers used to build their engine from a
+        hard-coded name list, so a vertical engine registered with
+        supports_jobs ran the wrong engine (and crashed) at jobs=2."""
+        from repro.core.rp_eclat import RPEclat
+
+        register_engine(
+            "test-eclat-singletons",
+            lambda per, min_ps, min_rec, **_: RPEclat(
+                per, min_ps, min_rec, max_length=1
+            ),
+            supports_jobs=True,
+        )
+        params = dict(
+            per=2, min_ps=3, min_rec=2, engine="test-eclat-singletons"
+        )
+        try:
+            serial = mine_recurring_patterns(
+                paper_running_example(), **params, jobs=1
+            )
+            parallel = mine_recurring_patterns(
+                paper_running_example(), **params, jobs=2
+            )
+            assert list(parallel) == list(serial)
+            assert {len(pattern.items) for pattern in serial} == {1}
+        finally:
+            unregister_engine("test-eclat-singletons")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.miner import ENGINES, mine_recurring_patterns
+from repro.core.engines import engine_names
+from repro.core.miner import mine_recurring_patterns
 from repro.exceptions import ParameterError
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.events import EventSequence
@@ -43,7 +44,7 @@ class TestInputHandling:
 
 
 class TestEngineSelection:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", engine_names())
     def test_all_engines_agree(self, running_example, engine):
         found = mine_recurring_patterns(
             running_example, per=2, min_ps=3, min_rec=2, engine=engine
@@ -57,7 +58,7 @@ class TestEngineSelection:
             )
 
     def test_empty_input(self):
-        for engine in ENGINES:
+        for engine in engine_names():
             found = mine_recurring_patterns(
                 TransactionalDatabase(), per=1, min_ps=1, engine=engine
             )

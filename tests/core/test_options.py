@@ -1,4 +1,4 @@
-"""Options-object façade: objects, removed-keyword errors, conflicts."""
+"""Options objects and the façade that takes them."""
 
 import warnings
 
@@ -6,13 +6,9 @@ import pytest
 
 from repro import (
     ObservabilityOptions,
+    ParallelMiner,
     ResilienceOptions,
     mine_recurring_patterns,
-)
-from repro.core.options import (
-    UNSET,
-    resolve_observability,
-    resolve_resilience,
 )
 from repro.datasets import paper_running_example
 from repro.exceptions import ParameterError
@@ -62,39 +58,6 @@ class TestObservabilityOptions:
         assert not ObservabilityOptions(track_memory=True).enabled
 
 
-class TestResolveShims:
-    def test_no_inputs_yield_defaults(self):
-        assert resolve_resilience(None) == ResilienceOptions()
-        assert resolve_observability(None) == ObservabilityOptions()
-
-    def test_object_passes_through_unchanged(self):
-        options = ResilienceOptions(timeout=9.0)
-        assert resolve_resilience(options) is options
-
-    def test_flat_keyword_raises_naming_replacement(self):
-        with pytest.raises(
-            ParameterError,
-            match=r"'timeout'.*removed.*ResilienceOptions|removed.*'timeout'",
-        ):
-            resolve_resilience(None, timeout=9.0)
-
-    def test_flat_keyword_error_points_at_mining_request(self):
-        with pytest.raises(ParameterError, match="MiningRequest"):
-            resolve_observability(None, collect_stats=True)
-
-    def test_unset_flat_keyword_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            options = resolve_resilience(None, timeout=UNSET)
-        assert options == ResilienceOptions()
-
-    def test_flat_plus_object_conflict(self):
-        with pytest.raises(ParameterError, match="not both"):
-            resolve_resilience(
-                ResilienceOptions(), timeout=9.0
-            )
-
-
 class TestFacadeIntegration:
     def test_options_objects_accepted_without_warning(self):
         with warnings.catch_warnings():
@@ -107,31 +70,20 @@ class TestFacadeIntegration:
         assert len(found) == 8
         assert telemetry.stats.patterns_found == 8
 
-    def test_flat_kwargs_raise_parameter_error(self):
-        with pytest.raises(ParameterError, match="collect_stats"):
+    def test_flat_kwargs_raise_type_error(self):
+        """The removed flat spellings are plain unknown keywords."""
+        with pytest.raises(TypeError, match="collect_stats"):
             mine_recurring_patterns(
                 paper_running_example(), per=2, min_ps=3, min_rec=2,
                 collect_stats=True,
             )
-        with pytest.raises(ParameterError, match="timeout"):
+        with pytest.raises(TypeError, match="timeout"):
             mine_recurring_patterns(
                 paper_running_example(), per=2, min_ps=3, min_rec=2,
                 timeout=5.0,
             )
-
-    def test_flat_and_object_mix_raises(self):
-        with pytest.raises(ParameterError, match="not both"):
-            mine_recurring_patterns(
-                paper_running_example(), per=2, min_ps=3, min_rec=2,
-                observability=ObservabilityOptions(collect_stats=True),
-                collect_stats=True,
-            )
-        with pytest.raises(ParameterError, match="not both"):
-            mine_recurring_patterns(
-                paper_running_example(), per=2, min_ps=3, min_rec=2,
-                resilience=ResilienceOptions(),
-                timeout=5.0,
-            )
+        with pytest.raises(TypeError, match="timeout"):
+            ParallelMiner(per=2, min_ps=3, min_rec=2, timeout=5.0)
 
     def test_track_memory_without_telemetry_warns(self):
         """Regression pin: this used to silently do nothing."""

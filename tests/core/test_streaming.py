@@ -10,7 +10,7 @@ from repro.core.intervals import (
 )
 from repro.core.rp_list import build_rp_list
 from repro.core.model import MiningParameters
-from repro.core.streaming import StreamingRecurrenceMonitor
+from repro.streaming import StreamingRecurrenceMonitor
 from tests.conftest import mining_parameters, small_databases
 
 RELAXED = settings(

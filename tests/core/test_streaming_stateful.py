@@ -1,7 +1,7 @@
 """Stateful property test for the streaming monitor.
 
 A hypothesis rule-based state machine drives a
-:class:`~repro.core.streaming.StreamingRecurrenceMonitor` with an
+:class:`~repro.streaming.StreamingRecurrenceMonitor` with an
 arbitrary interleaving of transactions and queries, maintaining a naive
 shadow model (the full transaction log, recomputed from scratch via the
 pure interval functions).  Any divergence between the O(1)-per-event
@@ -23,7 +23,7 @@ from repro.core.intervals import (
     interesting_intervals,
     recurrence,
 )
-from repro.core.streaming import StreamingRecurrenceMonitor
+from repro.streaming import StreamingRecurrenceMonitor
 
 ITEMS = "abcd"
 

@@ -14,12 +14,12 @@ planted workload (known ground truth) and noise-corrupted variants
 
 import pytest
 
+from repro.core.engines import engine_names
 from repro.core.miner import mine_recurring_patterns
 from repro.core.options import ObservabilityOptions
 from repro.datasets import paper_running_example
 from repro.datasets.noise import apply_dropout, apply_jitter
 from repro.datasets.planted import generate_planted_workload
-from repro.parallel import PARALLEL_ENGINES
 
 JOBS = 4
 
@@ -44,7 +44,7 @@ DATASETS = _datasets()
 @pytest.mark.parametrize(
     "name,database,params", DATASETS, ids=[d[0] for d in DATASETS]
 )
-@pytest.mark.parametrize("engine", PARALLEL_ENGINES)
+@pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
 def test_parallel_equals_serial(engine, name, database, params):
     obs = ObservabilityOptions(collect_stats=True)
     serial, serial_telemetry = mine_recurring_patterns(
@@ -65,7 +65,7 @@ def test_parallel_equals_serial(engine, name, database, params):
     )
 
 
-@pytest.mark.parametrize("engine", PARALLEL_ENGINES)
+@pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
 def test_planted_ground_truth_survives_parallelism(engine):
     """jobs=4 still recovers every planted pattern exactly."""
     workload = generate_planted_workload(per=4, min_ps=3, min_rec=2, seed=3)

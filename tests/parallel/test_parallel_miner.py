@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.engines import engine_names
 from repro.core.miner import mine_recurring_patterns
 from repro.core.options import ObservabilityOptions
 from repro.core.rp_growth import RPGrowth
@@ -9,7 +10,7 @@ from repro.datasets import paper_running_example
 from repro.exceptions import ParameterError
 from repro.obs.report import MiningTelemetry, validate_run_record
 from repro.obs.spans import SpanCollector, span
-from repro.parallel import PARALLEL_ENGINES, ParallelMiner, default_jobs
+from repro.parallel import ParallelMiner, default_jobs
 from repro.timeseries.database import TransactionalDatabase
 
 
@@ -59,7 +60,7 @@ class TestDelegation:
             miner.last_stats.as_dict() == serial.last_stats.as_dict()
         )
 
-    @pytest.mark.parametrize("engine", PARALLEL_ENGINES)
+    @pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
     def test_empty_database_short_circuits(self, engine):
         miner = ParallelMiner(
             per=2, min_ps=3, min_rec=1, engine=engine, jobs=2
@@ -92,7 +93,7 @@ class TestMergedTelemetry:
             found = miner.mine(paper_running_example())
         return found, collector.roots[0]
 
-    @pytest.mark.parametrize("engine", PARALLEL_ENGINES)
+    @pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
     def test_worker_spans_fold_under_the_mine_span(self, engine):
         found, run = self._mine_with_spans(engine)
         assert len(found) == 8

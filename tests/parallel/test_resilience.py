@@ -6,7 +6,7 @@ contract:
 
 * **equivalence** — the recovered pattern set (and the merged mining
   counters) are identical to the ``jobs=1`` serial run, for every
-  fault kind and every engine in ``PARALLEL_ENGINES``;
+  fault kind and every parallel-capable engine;
 * **accounting** — ``chunks_retried`` / ``chunks_fallback`` and the
   ``FaultEvent`` log match the injected plan.
 
@@ -22,6 +22,7 @@ those assertions are a tight range rather than an equality.
 
 import pytest
 
+from repro.core.engines import engine_names
 from repro.core.miner import mine_recurring_patterns
 from repro.core.options import ObservabilityOptions, ResilienceOptions
 from repro.datasets import paper_running_example
@@ -29,7 +30,6 @@ from repro.exceptions import ChunkFailedError, ParameterError
 from repro.obs.report import validate_run_record
 from repro.parallel import (
     FAULT_KINDS,
-    PARALLEL_ENGINES,
     FaultPlan,
     FaultSpec,
     ParallelMiner,
@@ -77,7 +77,7 @@ def _assert_identical(serial, recovered):
 # ----------------------------------------------------------------------
 # The matrix: every fault kind x every engine
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", PARALLEL_ENGINES)
+@pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
 @pytest.mark.parametrize("kind", FAULT_KINDS)
 def test_fault_matrix_recovers_serial_result(engine, kind):
     database = _single_chunk_db(engine)
@@ -85,10 +85,12 @@ def test_fault_matrix_recovers_serial_result(engine, kind):
     plan = FaultPlan.single(
         kind, chunk=0, seconds=5.0 if kind == "hang" else 0.2
     )
-    kwargs = {"jobs": 2, "retry_backoff": 0.0, "fault_plan": plan}
-    if kind == "hang":
-        kwargs["timeout"] = 1.0
-    miner, recovered = _mine(engine, database, **kwargs)
+    resilience = ResilienceOptions(
+        timeout=1.0 if kind == "hang" else None, fault_plan=plan
+    )
+    miner, recovered = _mine(
+        engine, database, jobs=2, retry_backoff=0.0, resilience=resilience
+    )
 
     _assert_identical(serial, recovered)
     assert _mining_counters(miner.last_stats) == _mining_counters(
@@ -110,14 +112,16 @@ def test_fault_matrix_recovers_serial_result(engine, kind):
         assert miner.last_faults[0].chunk == 0
 
 
-@pytest.mark.parametrize("engine", PARALLEL_ENGINES)
+@pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
 def test_multi_chunk_crash_still_matches_serial(engine):
     """Crash on the paper database (several chunks, both engines)."""
     database = paper_running_example()
     serial_miner, serial = _mine(engine, database, jobs=1)
     miner, recovered = _mine(
         engine, database, jobs=2, retry_backoff=0.0,
-        fault_plan=FaultPlan.single("crash", chunk=0),
+        resilience=ResilienceOptions(
+            fault_plan=FaultPlan.single("crash", chunk=0)
+        ),
     )
     _assert_identical(serial, recovered)
     assert _mining_counters(miner.last_stats) == _mining_counters(
@@ -130,15 +134,18 @@ def test_multi_chunk_crash_still_matches_serial(engine):
 # ----------------------------------------------------------------------
 # Retry exhaustion: serial fallback
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", PARALLEL_ENGINES)
+@pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
 def test_persistent_poison_falls_back_to_serial(engine):
     """execution=None poisons every execution: retries exhaust, the
     chunk is re-mined in-process, and the result is still exact."""
     database = _single_chunk_db(engine)
     serial_miner, serial = _mine(engine, database, jobs=1)
     miner, recovered = _mine(
-        engine, database, jobs=2, retry_backoff=0.0, max_retries=1,
-        fault_plan=FaultPlan.single("poison", chunk=0, execution=None),
+        engine, database, jobs=2, retry_backoff=0.0,
+        resilience=ResilienceOptions(
+            max_retries=1,
+            fault_plan=FaultPlan.single("poison", chunk=0, execution=None),
+        ),
     )
     _assert_identical(serial, recovered)
     assert _mining_counters(miner.last_stats) == _mining_counters(
@@ -151,9 +158,7 @@ def test_persistent_poison_falls_back_to_serial(engine):
     ]
 
 
-@pytest.mark.parametrize(
-    "engine", ("rp-eclat", "rp-eclat-np", "rp-eclat-vec")
-)
+@pytest.mark.parametrize("engine", ("rp-eclat", "rp-eclat-vec"))
 def test_persistent_crash_falls_back_to_serial(engine):
     """The fallback path must also survive a fault that kills every
     pool — the in-process re-mine runs unguarded, so the injected
@@ -161,8 +166,11 @@ def test_persistent_crash_falls_back_to_serial(engine):
     database = _single_chunk_db(engine)
     _, serial = _mine(engine, database, jobs=1)
     miner, recovered = _mine(
-        engine, database, jobs=2, retry_backoff=0.0, max_retries=1,
-        fault_plan=FaultPlan.single("crash", chunk=0, execution=None),
+        engine, database, jobs=2, retry_backoff=0.0,
+        resilience=ResilienceOptions(
+            max_retries=1,
+            fault_plan=FaultPlan.single("crash", chunk=0, execution=None),
+        ),
     )
     _assert_identical(serial, recovered)
     assert miner.last_stats.chunks_retried == 1
@@ -179,8 +187,11 @@ def test_raise_mode_names_prefixes_and_keeps_partial_vertical():
     database = _single_chunk_db("rp-eclat")
     miner = ParallelMiner(
         engine="rp-eclat", **PARAMS, jobs=2, retry_backoff=0.0,
-        max_retries=0, fallback="raise",
-        fault_plan=FaultPlan.single("poison", chunk=0, execution=None),
+        resilience=ResilienceOptions(
+            max_retries=0,
+            fallback="raise",
+            fault_plan=FaultPlan.single("poison", chunk=0, execution=None),
+        ),
     )
     with pytest.raises(ChunkFailedError) as excinfo:
         miner.mine(database)
@@ -197,8 +208,11 @@ def test_raise_mode_keeps_partial_growth():
     database = _single_chunk_db("rp-growth")
     miner = ParallelMiner(
         engine="rp-growth", **PARAMS, jobs=2, retry_backoff=0.0,
-        max_retries=0, fallback="raise",
-        fault_plan=FaultPlan.single("poison", chunk=0, execution=None),
+        resilience=ResilienceOptions(
+            max_retries=0,
+            fallback="raise",
+            fault_plan=FaultPlan.single("poison", chunk=0, execution=None),
+        ),
     )
     with pytest.raises(ChunkFailedError) as excinfo:
         miner.mine(database)
@@ -295,7 +309,9 @@ def test_retry_policy_rejects_bad_values():
 
 def test_miner_rejects_bad_fallback():
     with pytest.raises(ParameterError):
-        ParallelMiner(**PARAMS, fallback="shrug")
+        ParallelMiner(
+            **PARAMS, resilience=ResilienceOptions(fallback="shrug")
+        )
 
 
 def test_fault_plan_lookup():

@@ -50,7 +50,7 @@ def test_canonical_is_order_independent():
 
 
 def test_mine_canonical_matches_oracle_on_running_example():
-    for engine in ("rp-growth", "rp-eclat", "rp-eclat-np", "rp-eclat-vec"):
+    for engine in ("rp-growth", "rp-eclat", "rp-eclat-vec"):
         assert mine_canonical(RUNNING_EXAMPLE_ROWS, PARAMS, engine) == \
             oracle_canonical(RUNNING_EXAMPLE_ROWS, PARAMS)
 
@@ -114,7 +114,7 @@ def test_check_case_clean_on_running_example():
         jobs_values=(1, 2),
     )
     assert failures == []
-    assert checks == 8  # four pruning engines x two jobs levels
+    assert checks == 6  # three pruning engines x two jobs levels
 
 
 def test_check_case_skips_empty_database():

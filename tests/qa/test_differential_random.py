@@ -22,13 +22,13 @@ import random
 
 import pytest
 
+from repro.core.engines import engine_names
 from repro.qa.differential import (
     BASE_SEED,
     check_case,
     random_params,
     random_rows,
 )
-from repro.parallel import PARALLEL_ENGINES
 from repro.timeseries.database import TransactionalDatabase
 
 pytestmark = pytest.mark.slow
@@ -48,10 +48,10 @@ def test_engines_agree_with_naive_oracle(case):
     if len(TransactionalDatabase(rows)) == 0:
         pytest.skip("drew an empty database")
     jobs_values = (1, 2) if case % 7 == 0 else (1,)
+    engines = engine_names(supports_jobs=True)
     checks, failures = check_case(
-        seed, rows, params,
-        engines=PARALLEL_ENGINES, jobs_values=jobs_values,
+        seed, rows, params, engines=engines, jobs_values=jobs_values,
     )
-    assert checks >= len(PARALLEL_ENGINES)
+    assert checks >= len(engines)
     if failures:
         pytest.fail("\n\n".join(f.describe() for f in failures))

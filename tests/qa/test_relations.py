@@ -8,7 +8,7 @@ relation must produce a *minimized* reproducer naming its seed.
 
 import pytest
 
-from repro.core.miner import ENGINES
+from repro.core.engines import engine_names
 from repro.qa.differential import CaseParams
 from repro.qa.relations import (
     RELATIONS,
@@ -62,12 +62,11 @@ def test_engine_matrix_covers_all_engines_naive_serial_only():
     assert set(MATRIX) == {
         ("rp-growth", 1), ("rp-growth", 2),
         ("rp-eclat", 1), ("rp-eclat", 2),
-        ("rp-eclat-np", 1), ("rp-eclat-np", 2),
         ("rp-eclat-vec", 1), ("rp-eclat-vec", 2),
         ("naive", 1),
     }
-    assert engine_matrix(ENGINES, jobs_values=(1,)) == [
-        (engine, 1) for engine in ENGINES
+    assert engine_matrix(engine_names(), jobs_values=(1,)) == [
+        (engine, 1) for engine in engine_names()
     ]
 
 
@@ -88,7 +87,8 @@ def test_relations_hold_on_random_corpus_serial():
     assert result.passed, "\n\n".join(
         v.describe() for v in result.violations
     )
-    assert result.cases_checked == len(RELATIONS) * len(ENGINES) * 3
+    engines = len(engine_names())
+    assert result.cases_checked == len(RELATIONS) * engines * 3
 
 
 # ----------------------------------------------------------------------
@@ -200,4 +200,4 @@ def test_run_relations_deadline_still_covers_every_cell():
     )
     assert result.passed
     assert all(check.cases == 1 for check in result.checks)
-    assert len(result.checks) == len(RELATIONS) * len(ENGINES)
+    assert len(result.checks) == len(RELATIONS) * len(engine_names())

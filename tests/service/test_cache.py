@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro import mine_recurring_patterns
-from repro.core.engines import ENGINES
+from repro.core.engines import engine_names
 from repro.core.request import MiningRequest
 from repro.exceptions import ParameterError
 from repro.patterns_io import save_patterns
@@ -50,7 +50,7 @@ def _mine(database, request):
 # ----------------------------------------------------------------------
 # The derivation property, per engine
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", list(ENGINES))
+@pytest.mark.parametrize("engine", engine_names())
 @pytest.mark.parametrize("case", range(N_CASES))
 def test_derived_answer_is_byte_identical_to_fresh_mine(engine, case):
     rng = random.Random(BASE_SEED + case)

@@ -9,9 +9,13 @@ state silently diverged from batch on split inputs).
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.streaming import StreamingRecurrenceMonitor
 from repro.exceptions import DataFormatError
-from repro.streaming import decode_item, encode_item, item_sort_key
+from repro.streaming import (
+    StreamingRecurrenceMonitor,
+    decode_item,
+    encode_item,
+    item_sort_key,
+)
 from repro.timeseries.database import TransactionalDatabase
 from tests.conftest import mining_parameters, small_databases
 
@@ -153,11 +157,3 @@ class TestStateDict:
         assert json.dumps(forward.state_dict()) == json.dumps(
             backward.state_dict()
         )
-
-    def test_compat_import_path_still_works(self):
-        from repro.core.streaming import (  # noqa: F401
-            ItemState,
-            StreamingRecurrenceMonitor as Legacy,
-        )
-
-        assert Legacy is StreamingRecurrenceMonitor
