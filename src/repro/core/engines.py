@@ -11,17 +11,12 @@ capability flags —
     The engine's search space can be prefix-partitioned by
     :mod:`repro.parallel`, so ``jobs > 1`` is allowed.  Pool workers
     build their engine through the same factory, so such an engine
-    must also speak its family's worker protocol (``_first_scan`` /
-    ``_grow`` for vertical engines, ``_mine_tree`` for growth).
+    must also speak the worker protocol (``_first_scan`` /
+    ``attach_context`` / ``_grow``, see ``docs/api.md``).
 ``exhaustive``
     The engine enumerates the full itemset lattice without pruning; it
     exists as an obviously-correct reference for small inputs, and
     consumers like the golden corpus exclude it from large cases.
-``family``
-    How the engine explores the search space — ``"growth"``
-    (pattern-growth over an RP-tree), ``"vertical"`` (ts-list
-    intersection) or ``"exhaustive"``.  The parallel layer picks its
-    partitioning strategy from this flag.
 
 A factory is called as ``factory(per, min_ps, min_rec, **options)``
 and returns an object with ``mine(database)`` and ``last_stats``
@@ -67,7 +62,6 @@ class EngineSpec:
     factory: Callable[..., object]
     supports_jobs: bool = False
     exhaustive: bool = False
-    family: str = "vertical"
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -78,11 +72,6 @@ class EngineSpec:
         if not callable(self.factory):
             raise ParameterError(
                 f"engine factory must be callable, got {self.factory!r}"
-            )
-        if self.family not in ("growth", "vertical", "exhaustive"):
-            raise ParameterError(
-                f"engine family must be 'growth', 'vertical' or "
-                f"'exhaustive', got {self.family!r}"
             )
 
 
@@ -97,7 +86,6 @@ def register_engine(
     *,
     supports_jobs: bool = False,
     exhaustive: bool = False,
-    family: str = "vertical",
     description: str = "",
     replace: bool = False,
 ) -> EngineSpec:
@@ -120,7 +108,6 @@ def register_engine(
         factory=factory,
         supports_jobs=supports_jobs,
         exhaustive=exhaustive,
-        family=family,
         description=description,
     )
     _REGISTRY[name] = spec
@@ -233,27 +220,23 @@ register_engine(
     "rp-growth",
     _make_rp_growth,
     supports_jobs=True,
-    family="growth",
     description="the paper's RP-growth algorithm (default)",
 )
 register_engine(
     "rp-eclat",
     _make_rp_eclat,
     supports_jobs=True,
-    family="vertical",
     description="vertical cross-check engine",
 )
 register_engine(
     "rp-eclat-vec",
     _make_rp_eclat_vec,
     supports_jobs=True,
-    family="vertical",
     description="batched columnar vertical engine (NumPy kernel)",
 )
 register_engine(
     "naive",
     _make_naive,
     exhaustive=True,
-    family="exhaustive",
     description="exhaustive reference (small inputs only)",
 )

@@ -108,9 +108,7 @@ class RPEclat:
             return RecurringPatternSet()
         params = self.params.resolve(len(database))
 
-        with span("first_scan"):
-            candidates = self._first_scan(database, params, stats)
-
+        candidates = self._first_scan(database, params, stats)
         found: List[RecurringPattern] = []
         with span("mine"):
             for index, (item, ts_list) in enumerate(candidates):
@@ -130,20 +128,21 @@ class RPEclat:
 
         The rarest-first extension order keeps intermediate ts-lists
         short; the exact key is the cross-engine contract of
-        :mod:`repro.core.ordering`.
+        :mod:`repro.core.ordering`.  Timed as the ``first_scan`` span.
         """
-        item_ts = database.item_timestamps()
-        candidates: List[Tuple[Item, Tuple[float, ...]]] = []
-        for item in sorted(item_ts, key=repr):
-            ts_list = item_ts[item]
-            stats.erec_evaluations += 1
-            if self._passes_bound(ts_list, params, stats):
-                candidates.append((item, ts_list))
-                stats.tid_list_entries += len(ts_list)
-            else:
-                stats.pruned_items += 1
-        stats.candidate_items = len(candidates)
-        return sort_candidates(candidates)
+        with span("first_scan"):
+            item_ts = database.item_timestamps()
+            candidates: List[Tuple[Item, Tuple[float, ...]]] = []
+            for item in sorted(item_ts, key=repr):
+                ts_list = item_ts[item]
+                stats.erec_evaluations += 1
+                if self._passes_bound(ts_list, params, stats):
+                    candidates.append((item, ts_list))
+                    stats.tid_list_entries += len(ts_list)
+                else:
+                    stats.pruned_items += 1
+            stats.candidate_items = len(candidates)
+            return sort_candidates(candidates)
 
     # ------------------------------------------------------------------
     # Depth-first growth

@@ -157,9 +157,7 @@ class RPEclatVec:
             return RecurringPatternSet()
         params = self.params.resolve(len(database))
 
-        with span("first_scan"):
-            candidates = self._first_scan(database, params, stats)
-
+        candidates = self._first_scan(database, params, stats)
         found: List[RecurringPattern] = []
         with span("mine"):
             if candidates:
@@ -197,30 +195,34 @@ class RPEclatVec:
 
         One segmented kernel call scores the ``Erec`` bound of *every*
         item: the concatenated CSR rows of the columnar view are
-        already the per-item point sequences laid end to end.
+        already the per-item point sequences laid end to end.  Timed as
+        the ``first_scan`` span.
         """
-        column = database.columnar()
-        self.attach_context(VecContext(column.timestamps, column.n_transactions))
-        n_items = len(column.items)
-        stats.erec_evaluations += n_items
-        if n_items == 0:
-            stats.candidate_items = 0
-            return []
-        erec, _, _, _, _ = _segmented_interval_stats(
-            column.timestamps[column.indices],
-            column.indptr[:-1],
-            params.per,
-            params.min_ps,
-        )
-        keep = erec >= params.min_rec
-        candidates: List[Tuple[Item, np.ndarray]] = []
-        for position in np.flatnonzero(keep).tolist():
-            row = column.item_rows(position)
-            candidates.append((column.items[position], row))
-            stats.tid_list_entries += row.size
-        stats.pruned_items += n_items - len(candidates)
-        stats.candidate_items = len(candidates)
-        return sort_candidates(candidates)
+        with span("first_scan"):
+            column = database.columnar()
+            self.attach_context(
+                VecContext(column.timestamps, column.n_transactions)
+            )
+            n_items = len(column.items)
+            stats.erec_evaluations += n_items
+            if n_items == 0:
+                stats.candidate_items = 0
+                return []
+            erec, _, _, _, _ = _segmented_interval_stats(
+                column.timestamps[column.indices],
+                column.indptr[:-1],
+                params.per,
+                params.min_ps,
+            )
+            keep = erec >= params.min_rec
+            candidates: List[Tuple[Item, np.ndarray]] = []
+            for position in np.flatnonzero(keep).tolist():
+                row = column.item_rows(position)
+                candidates.append((column.items[position], row))
+                stats.tid_list_entries += row.size
+            stats.pruned_items += n_items - len(candidates)
+            stats.candidate_items = len(candidates)
+            return sort_candidates(candidates)
 
     def _grow(
         self,

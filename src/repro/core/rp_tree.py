@@ -145,6 +145,33 @@ class RPTree:
             base.append((path, node.ts_list))
         return base
 
+    def subtree_prefix_paths(
+        self, item: Item
+    ) -> List[Tuple[List[Item], List[float]]]:
+        """What :meth:`prefix_paths` returns when the bottom-up sweep
+        reaches ``item``, read without mutating the tree.
+
+        By then :meth:`remove_item` has pushed every item ranked below
+        ``item`` up into its nodes (Lemma 3), so each node's ts-list is
+        every ts in its subtree; this gathers those directly.  Entries
+        come in :meth:`prefix_paths` order, each ts-list a concatenation
+        of sorted runs like a pushed-up one.
+        """
+        base: List[Tuple[List[Item], List[float]]] = []
+        for node in self.nodes_by_item.get(item, ()):
+            ts_list: List[float] = []
+            stack = [node]
+            while stack:
+                current = stack.pop()
+                ts_list.extend(current.ts_list)
+                stack.extend(current.children.values())
+            if not ts_list:
+                continue
+            path = node.path_items()
+            path.reverse()
+            base.append((path, ts_list))
+        return base
+
     def remove_item(self, item: Item) -> None:
         """Push ts-lists to parents and delete every node of ``item``.
 
@@ -168,6 +195,46 @@ class RPTree:
                 )
             del parent.children[item]
         self.nodes_by_item.pop(item, None)
+
+    def __del__(self) -> None:
+        # Nodes link both ways, so a tree that was read but never swept
+        # (the parallel layer's initial tree) would otherwise wait for a
+        # full cyclic collection; unlinking children frees it at once.
+        for nodes in self.nodes_by_item.values():
+            for node in nodes:
+                node.children.clear()
+
+    def __getstate__(self) -> dict:
+        # Flat pre-order form for ``spawn`` workers: pickling the linked
+        # nodes directly recurses per level and overflows on deep trees.
+        position: Dict[Optional[RPTreeNode], int] = {None: -1}
+        flat: List[Tuple[Optional[Item], int, List[float]]] = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            position[node] = len(flat)
+            flat.append((node.item, position[node.parent], node.ts_list))
+            stack.extend(reversed(node.children.values()))
+        by_item = {
+            item: [position[node] for node in nodes]
+            for item, nodes in self.nodes_by_item.items()
+        }
+        return {"order": self.order, "nodes": flat, "by_item": by_item}
+
+    def __setstate__(self, state: dict) -> None:
+        nodes: List[RPTreeNode] = []
+        for item, parent, ts_list in state["nodes"]:
+            node = RPTreeNode(item, nodes[parent] if parent >= 0 else None)
+            node.ts_list = ts_list
+            if node.parent is not None:
+                node.parent.children[item] = node
+            nodes.append(node)
+        self.root = nodes[0]
+        self.order = state["order"]
+        self.nodes_by_item = {
+            item: [nodes[index] for index in positions]
+            for item, positions in state["by_item"].items()
+        }
 
     # ------------------------------------------------------------------
     # Introspection (used by tests against the paper's Figures 5-6)

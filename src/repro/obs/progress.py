@@ -7,8 +7,8 @@ view:
 
 * :class:`ProgressTracker` — completed/total work units with optional
   per-unit weights (the LPT chunk weights from
-  :func:`repro.parallel.partition.plan_chunks` make the ETA honest
-  even when chunks are deliberately unequal);
+  :func:`repro.parallel.plan_chunks` make the ETA honest even when
+  chunks are deliberately unequal);
 * :class:`ProgressReporter` — rate-limited rendering to a stream:
   carriage-return updates on a TTY, plain appended lines otherwise
   (CI logs stay readable);

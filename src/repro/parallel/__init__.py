@@ -2,12 +2,12 @@
 
 The search space of every pruning engine decomposes along its first
 explored dimension — first-item prefixes for the vertical engines,
-suffix-item conditional trees for RP-growth — into sub-problems that
-never interact.  This package partitions along that dimension
-(:mod:`repro.parallel.partition`), runs the existing serial recursions
-unchanged inside pool workers (:mod:`repro.parallel.worker`) and merges
-patterns, counters and spans back together
-(:class:`~repro.parallel.miner.ParallelMiner`).
+header-item suffix trees for RP-growth — into sub-problems that never
+interact, listed by each engine's ``_first_scan``.  This package plans
+them into chunks (:func:`~repro.parallel.miner.plan_chunks`), runs the
+engine's ``_grow`` unchanged inside pool workers
+(:mod:`repro.parallel.worker`) and merges patterns, counters and spans
+back together (:class:`~repro.parallel.miner.ParallelMiner`).
 
 Chunk execution is fault-tolerant: :mod:`repro.parallel.resilience`
 supervises the pool (per-chunk retries with backoff, deadlines,
@@ -24,12 +24,7 @@ byte-identical to not using this package at all.
 
 from repro.exceptions import ChunkFailedError
 from repro.parallel.faults import FAULT_KINDS, FaultPlan, FaultSpec
-from repro.parallel.miner import ParallelMiner, default_jobs
-from repro.parallel.partition import (
-    collect_growth_tasks,
-    growth_task_size,
-    plan_chunks,
-)
+from repro.parallel.miner import ParallelMiner, default_jobs, plan_chunks
 from repro.parallel.resilience import (
     FALLBACK_MODES,
     FaultEvent,
@@ -40,8 +35,6 @@ from repro.parallel.resilience import (
 __all__ = [
     "ParallelMiner",
     "default_jobs",
-    "collect_growth_tasks",
-    "growth_task_size",
     "plan_chunks",
     "FAULT_KINDS",
     "FALLBACK_MODES",

@@ -189,8 +189,8 @@ def init_worker(
     """Pool initializer: install fault state, then run the engine's own.
 
     This is the hook the resilience layer passes to every
-    ``ProcessPoolExecutor`` it builds — the engine initializer
-    (``init_vertical_worker`` / ``init_growth_worker``) still runs
+    ``ProcessPoolExecutor`` it builds — the engine-state initializer
+    (:func:`repro.parallel.worker.init_chunk_worker`) still runs
     exactly as before, after the fault plan lands.
     """
     install_fault_plan(plan, marker_dir)

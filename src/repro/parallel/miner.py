@@ -1,10 +1,10 @@
 """The multiprocess mining wrapper.
 
 :class:`ParallelMiner` mines the same model as the serial engines by
-partitioning the search space along its first explored dimension
-(:mod:`repro.parallel.partition`), fanning the resulting sub-problems
-out to a ``concurrent.futures.ProcessPoolExecutor`` and merging the
-workers' patterns, counters and spans back into one result:
+partitioning the search space along its first explored dimension,
+fanning the resulting sub-problems out to a
+``concurrent.futures.ProcessPoolExecutor`` and merging the workers'
+patterns, counters and spans back into one result:
 
 * the pattern set is **identical** to the serial run's — the partition
   covers the serial search space exactly, and
@@ -22,9 +22,11 @@ crashed, hung or misbehaving worker costs a retry (and, after
 :class:`~repro.exceptions.ChunkFailedError`), never the whole run.
 
 Every engine object — the parent's first scan, each pool worker's and
-the serial fallback's — is built by the engine's registry factory, so
-an engine registered with ``supports_jobs`` partitions exactly like a
-built-in one.
+the serial fallback's — is built by the engine's registry factory, and
+every engine speaks one worker protocol (``_first_scan`` lists the
+roots, ``_grow`` mines one), so an engine registered with
+``supports_jobs`` partitions exactly like a built-in one.
+:func:`plan_chunks` bins the roots into chunks by their ts-list length.
 
 See ``docs/performance.md`` for the partitioning scheme, the chunking
 policy, when ``jobs > 1`` actually helps, and the "Failure handling"
@@ -33,13 +35,14 @@ section for the retry/fallback semantics.
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro._validation import Number
-from repro.core.engines import engine_names, get_engine
+from repro.core.engines import engine_names
 from repro.core.miner import mine_serial
 from repro.core.model import (
     MiningParameters,
@@ -47,22 +50,55 @@ from repro.core.model import (
     RecurringPatternSet,
 )
 from repro.core.options import ResilienceOptions
-from repro.core.rp_list import build_rp_list
-from repro.core.rp_tree import build_rp_tree
 from repro.exceptions import ChunkFailedError, ParameterError
 from repro.obs.counters import MiningStats
 from repro.obs.spans import Span, span
-from repro.parallel import partition as _partition
 from repro.parallel import worker as _worker
 from repro.parallel.resilience import FaultEvent, RetryPolicy, supervise
 from repro.timeseries.database import TransactionalDatabase
 
-__all__ = ["ParallelMiner", "default_jobs"]
+__all__ = ["ParallelMiner", "default_jobs", "plan_chunks"]
 
 
 def default_jobs() -> int:
     """Default worker count: one per available CPU (at least 1)."""
     return os.cpu_count() or 1
+
+
+def plan_chunks(sizes: Sequence[int], max_chunks: int) -> List[List[int]]:
+    """Group task indices into at most ``max_chunks`` balanced chunks.
+
+    Longest-processing-time (LPT) greedy: tasks are visited largest
+    first (ties by index) and each lands in the currently lightest
+    chunk.  The returned chunks are ordered by total size, largest
+    first — the submission order, so the biggest sub-problems start
+    immediately and small ones backfill against straggler tails — and
+    the whole plan is deterministic.
+
+    Examples
+    --------
+    >>> plan_chunks([1, 8, 2, 4], max_chunks=2)
+    [[1], [3, 2, 0]]
+    >>> plan_chunks([5, 5], max_chunks=8)
+    [[0], [1]]
+    """
+    if not sizes:
+        return []
+    if max_chunks < 1:
+        raise ValueError(f"max_chunks must be >= 1, got {max_chunks!r}")
+    n_bins = min(len(sizes), max_chunks)
+    bins: List[List[int]] = [[] for _ in range(n_bins)]
+    totals = [0] * n_bins
+    # (total, bin index) heap; the index tie-break keeps it deterministic.
+    heap = [(0, index) for index in range(n_bins)]
+    heapq.heapify(heap)
+    for index in sorted(range(len(sizes)), key=lambda i: (-sizes[i], i)):
+        total, bin_index = heapq.heappop(heap)
+        bins[bin_index].append(index)
+        totals[bin_index] = total + sizes[index]
+        heapq.heappush(heap, (totals[bin_index], bin_index))
+    ranked = sorted(range(n_bins), key=lambda b: (-totals[b], b))
+    return [bins[b] for b in ranked if bins[b]]
 
 
 class ParallelMiner:
@@ -210,35 +246,24 @@ class ParallelMiner:
         if len(database) == 0:
             return RecurringPatternSet()
         params = self.params.resolve(len(database))
-        if get_engine(self.engine).family == "growth":
-            return self._mine_growth(database, params, stats)
-        return self._mine_vertical(database, params, stats)
-
-    # ------------------------------------------------------------------
-    # Engine-specific orchestration
-    # ------------------------------------------------------------------
-    def _mine_vertical(self, database, params, stats) -> RecurringPatternSet:
         serial = self._serial_engine()
-        with span("first_scan"):
-            candidates = serial._first_scan(database, params, stats)
+        candidates = serial._first_scan(database, params, stats)
         if not candidates:
             return RecurringPatternSet()
-        # Task i is the lattice subtree rooted at candidates[i]; its
-        # point-sequence length is the documented cost proxy.
-        sizes = [len(ts_list) for _, ts_list in candidates]
-        chunks = _partition.plan_chunks(
-            sizes,
-            max_chunks=self.jobs * self.chunks_per_job,
-        )
         found: List[RecurringPattern] = []
         with span("mine") as mine_span:
+            with span("partition"):
+                # Root i's sub-problem is mined from its ts-list; the
+                # list's length is the documented cost proxy.
+                sizes = [len(ts_list) for _, ts_list in candidates]
+                chunks = plan_chunks(
+                    sizes, max_chunks=self.jobs * self.chunks_per_job
+                )
             self._run_pool(
-                initializer=_worker.init_vertical_worker,
                 initargs=(
                     self._recipe(params), candidates,
                     getattr(serial, "parallel_context", None),
                 ),
-                chunk_fn=_worker.mine_vertical_chunk,
                 chunks=chunks,
                 found=found,
                 stats=stats,
@@ -254,63 +279,13 @@ class ParallelMiner:
             )
         return RecurringPatternSet(found)
 
-    def _mine_growth(self, database, params, stats) -> RecurringPatternSet:
-        with span("first_scan"):
-            rp_list = build_rp_list(database, params)
-        stats.candidate_items = len(rp_list.candidates)
-        stats.pruned_items = len(rp_list.entries) - len(rp_list.candidates)
-        if not rp_list.candidates:
-            return RecurringPatternSet()
-        with span("tree_build"):
-            tree, _ = build_rp_tree(
-                database, params, rp_list, item_order=self.item_order
-            )
-        stats.initial_tree_nodes = tree.node_count()
-        found: List[RecurringPattern] = []
-        with span("mine") as mine_span:
-            with span("partition"):
-                tasks = _partition.collect_growth_tasks(
-                    tree, params, found, stats, self.max_length
-                )
-            if tasks:
-                sizes = [
-                    _partition.growth_task_size(task) for task in tasks
-                ]
-                chunks = _partition.plan_chunks(
-                    sizes,
-                    max_chunks=self.jobs * self.chunks_per_job,
-                )
-                payload_chunks = [
-                    [tasks[index] for index in chunk] for chunk in chunks
-                ]
-                self._run_pool(
-                    initializer=_worker.init_growth_worker,
-                    initargs=(self._recipe(params), tree.order),
-                    chunk_fn=_worker.mine_growth_chunk,
-                    chunks=payload_chunks,
-                    found=found,
-                    stats=stats,
-                    mine_span=mine_span,
-                    chunk_prefixes=[
-                        [str(item) for item, _ in chunk]
-                        for chunk in payload_chunks
-                    ],
-                    chunk_weights=[
-                        float(sum(sizes[index] for index in chunk))
-                        for chunk in chunks
-                    ],
-                )
-        return RecurringPatternSet(found)
-
     # ------------------------------------------------------------------
     # Pool plumbing
     # ------------------------------------------------------------------
     def _run_pool(
         self,
-        initializer,
         initargs: tuple,
-        chunk_fn,
-        chunks: Sequence[object],
+        chunks: Sequence[Sequence[int]],
         found: List[RecurringPattern],
         stats: MiningStats,
         mine_span: Optional[Span],
@@ -330,8 +305,7 @@ class ParallelMiner:
         workers = min(self.jobs, len(chunks))
         if not self.supervised:
             self._run_pool_unsupervised(
-                initializer, initargs, chunk_fn, chunks, found, stats,
-                mine_span, workers,
+                initargs, chunks, found, stats, mine_span, workers
             )
             return
         if self.monitor is not None:
@@ -344,9 +318,9 @@ class ParallelMiner:
             results, events, failed = supervise(
                 workers=workers,
                 mp_context=self._context(),
-                initializer=initializer,
+                initializer=_worker.init_chunk_worker,
                 initargs=initargs,
-                chunk_fn=chunk_fn,
+                chunk_fn=_worker.mine_chunk,
                 payloads=chunks,
                 policy=self.retry_policy,
                 fallback=self.fallback,
@@ -390,10 +364,8 @@ class ParallelMiner:
 
     def _run_pool_unsupervised(
         self,
-        initializer,
         initargs: tuple,
-        chunk_fn,
-        chunks: Sequence[object],
+        chunks: Sequence[Sequence[int]],
         found: List[RecurringPattern],
         stats: MiningStats,
         mine_span: Optional[Span],
@@ -405,11 +377,11 @@ class ParallelMiner:
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=self._context(),
-            initializer=initializer,
+            initializer=_worker.init_chunk_worker,
             initargs=initargs,
         ) as pool:
             futures = [
-                pool.submit(chunk_fn, chunk_id, chunk)
+                pool.submit(_worker.mine_chunk, chunk_id, chunk)
                 for chunk_id, chunk in enumerate(chunks)
             ]
             for future in futures:

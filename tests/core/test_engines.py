@@ -28,7 +28,6 @@ class TestRegistry:
         spec = get_engine("rp-growth")
         assert isinstance(spec, EngineSpec)
         assert spec.supports_jobs
-        assert spec.family == "growth"
         assert not spec.exhaustive
 
     def test_naive_capabilities(self):
@@ -62,8 +61,6 @@ class TestRegistry:
             EngineSpec(name="", factory=lambda: None)
         with pytest.raises(ParameterError, match="callable"):
             EngineSpec(name="x", factory="not-callable")
-        with pytest.raises(ParameterError, match="family"):
-            EngineSpec(name="x", factory=lambda: None, family="magic")
 
 
 class _ReversingEngine:

@@ -1,10 +1,17 @@
 """Unit tests for RP-tree construction (Algorithms 2-3, Figure 5)."""
 
+import gc
+import pickle
+import weakref
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.model import MiningParameters
-from repro.core.rp_tree import RPTree, build_rp_tree
+from repro.core.rp_tree import ITEM_ORDERS, RPTree, build_rp_tree
 from repro.timeseries.database import TransactionalDatabase
+from tests.conftest import mining_parameters, small_databases
 
 PARAMS = MiningParameters(per=2, min_ps=3, min_rec=2)
 
@@ -101,6 +108,86 @@ class TestTreeOperations:
         node = paper_tree.nodes_by_item["d"][0]
         path = node.path_items()
         assert path[-1] == "a"  # root end last
+
+
+class TestSubtreePrefixPaths:
+    """The identity the parallel RP-growth partition rests on: a header
+    item's base read off the initial tree is what ``prefix_paths``
+    returns once the bottom-up sweep has pushed everything below it up
+    (Lemma 3)."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        db=small_databases(),
+        params=mining_parameters(),
+        item_order=st.sampled_from(ITEM_ORDERS),
+    )
+    def test_read_equals_swept_prefix_paths(self, db, params, item_order):
+        resolved = MiningParameters(*params).resolve(max(len(db), 1))
+        tree, rp_list = build_rp_tree(db, resolved, item_order=item_order)
+        swept, _ = build_rp_tree(db, resolved, rp_list, item_order=item_order)
+        expected = {}
+        for item in swept.header_bottom_up():
+            expected[item] = [
+                (path, sorted(ts)) for path, ts in swept.prefix_paths(item)
+            ]
+            swept.remove_item(item)
+        before = tree.paths()
+        # Top-down: each read is independent of every other suffix.
+        for item in reversed(list(expected)):
+            read = tree.subtree_prefix_paths(item)
+            assert [(path, sorted(ts)) for path, ts in read] == (
+                expected[item]
+            )
+        assert tree.paths() == before
+
+
+class TestRelease:
+    def test_unswept_tree_is_freed_without_the_cycle_collector(self):
+        # A read-only tree (the parallel layer's initial tree) is never
+        # swept, so its parent/children links would form cycles.
+        class Tag:
+            pass
+
+        a, b = Tag(), Tag()
+        tree = RPTree({a: 0, b: 1})
+        tree.insert([a, b], (1.0,))
+        tree.subtree_prefix_paths(b)
+        alive = weakref.ref(b)
+        del a, b
+        gc.disable()
+        try:
+            del tree
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
+class TestPickle:
+    def test_round_trip_keeps_every_order(self, paper_tree):
+        clone = pickle.loads(pickle.dumps(paper_tree))
+        assert clone.paths() == paper_tree.paths()
+        assert clone.order == paper_tree.order
+        assert list(clone.nodes_by_item) == list(paper_tree.nodes_by_item)
+        for item, nodes in paper_tree.nodes_by_item.items():
+            assert [node.path_items() for node in nodes] == [
+                node.path_items() for node in clone.nodes_by_item[item]
+            ]
+        clone.remove_item("f")  # the clone's nodes are linked up
+        assert clone.pattern_timestamps("e") == [3, 5, 6, 10, 11, 12]
+
+    def test_deep_tree_round_trips(self):
+        # A path far deeper than the default pickler's recursion allows.
+        depth = 1000
+        tree = RPTree({rank: rank for rank in range(depth)})
+        tree.insert(list(range(depth)), (1.0, 2.0))
+        clone = pickle.loads(pickle.dumps(tree))
+        assert clone.node_count() == depth
+        assert clone.prefix_paths(depth - 1) == tree.prefix_paths(depth - 1)
 
 
 class TestLemma2Bound:

@@ -17,9 +17,12 @@ import pytest
 from repro.core.engines import engine_names
 from repro.core.miner import mine_recurring_patterns
 from repro.core.options import ObservabilityOptions
+from repro.core.rp_growth import RPGrowth
+from repro.core.rp_tree import ITEM_ORDERS
 from repro.datasets import paper_running_example
 from repro.datasets.noise import apply_dropout, apply_jitter
 from repro.datasets.planted import generate_planted_workload
+from repro.parallel import ParallelMiner
 
 JOBS = 4
 
@@ -92,3 +95,33 @@ def test_every_worker_count_agrees(jobs):
         database, per=2, min_ps=3, min_rec=2, jobs=jobs
     )
     assert parallel == serial
+
+
+@pytest.mark.parametrize("max_length", [None, 1, 2])
+@pytest.mark.parametrize("item_order", ITEM_ORDERS)
+def test_rp_growth_options_survive_parallelism(item_order, max_length):
+    """Every header item is mined off the shared initial tree, whatever
+    its order, and ``max_length`` stops it where the serial sweep does
+    (``max_length=1``: singletons only, no conditional tree)."""
+    _, database, params = DATASETS[1]
+    options = {"item_order": item_order, "max_length": max_length}
+    serial = RPGrowth(**params, **options)
+    expected = serial.mine(database)
+    miner = ParallelMiner(**params, jobs=2, **options)
+    assert miner.mine(database) == expected
+    assert miner.last_stats.as_dict() == serial.last_stats.as_dict()
+    if max_length == 1:
+        assert serial.last_stats.conditional_trees == 0
+
+
+@pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
+def test_spawn_workers_match_serial(engine):
+    """Under ``spawn`` the engine context (the initial RP-tree, the
+    columnar view) reaches the workers by pickling, not by fork."""
+    database = paper_running_example()
+    params = {"per": 2, "min_ps": 3, "min_rec": 2, "engine": engine}
+    serial = ParallelMiner(**params, jobs=1)
+    expected = serial.mine(database)
+    miner = ParallelMiner(**params, jobs=2, mp_context="spawn")
+    assert miner.mine(database) == expected
+    assert miner.last_stats.as_dict() == serial.last_stats.as_dict()

@@ -106,6 +106,22 @@ class TestMergedTelemetry:
         assert chunk_spans, "worker spans were not grafted back"
         assert all(child.seconds >= 0 for child in chunk_spans)
 
+    @pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
+    def test_span_shape_at_jobs_two(self, engine):
+        """The serial phases stay top-level siblings; ``mine`` holds the
+        partition and one span per chunk, for every engine alike."""
+        _, run = self._mine_with_spans(engine)
+        top = [child.name for child in run.children]
+        serial_phases = ["first_scan", "mine"]
+        if engine == "rp-growth":
+            serial_phases.insert(1, "tree_build")
+        assert top == serial_phases
+        mine = run.children[-1]
+        names = [child.name for child in mine.children]
+        assert names[0] == "partition"
+        assert names[1:] == [f"chunk[{i}]" for i in range(len(names) - 1)]
+        assert len(names) > 1
+
     def test_trace_record_validates_with_jobs(self):
         _, telemetry = mine_recurring_patterns(
             paper_running_example(), per=2, min_ps=3, min_rec=2,

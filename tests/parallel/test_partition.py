@@ -1,20 +1,10 @@
-"""Unit tests for the partition planner and the RP-growth task sweep."""
+"""Unit tests for the LPT chunk planner."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.model import MiningParameters
-from repro.core.rp_growth import RPGrowth
-from repro.core.rp_list import build_rp_list
-from repro.core.rp_tree import build_rp_tree
-from repro.datasets import paper_running_example
-from repro.obs.counters import MiningStats
-from repro.parallel import (
-    collect_growth_tasks,
-    growth_task_size,
-    plan_chunks,
-)
+from repro.parallel import plan_chunks
 
 
 class TestPlanChunks:
@@ -63,61 +53,3 @@ class TestPlanChunks:
         assert plan_chunks(sizes, max_chunks) == plan_chunks(
             sizes, max_chunks
         )
-
-
-class TestCollectGrowthTasks:
-    def _tree(self):
-        database = paper_running_example()
-        params = MiningParameters(per=2, min_ps=3, min_rec=2).resolve(
-            len(database)
-        )
-        rp_list = build_rp_list(database, params)
-        tree, _ = build_rp_tree(database, params, rp_list)
-        return tree, params
-
-    def test_tasks_cover_the_header_candidates(self):
-        tree, params = self._tree()
-        items = list(tree.header_bottom_up())
-        found, stats = [], MiningStats()
-        tasks = collect_growth_tasks(tree, params, found, stats)
-        # Every task's suffix item came from the header, once at most.
-        suffixes = [item for item, _ in tasks]
-        assert len(suffixes) == len(set(suffixes))
-        assert set(suffixes) <= set(items)
-        assert stats.erec_evaluations == len(items)
-
-    def test_top_level_patterns_match_serial_singletons(self):
-        tree, params = self._tree()
-        found, stats = [], MiningStats()
-        collect_growth_tasks(tree, params, found, stats)
-        serial = RPGrowth(per=2, min_ps=3, min_rec=2).mine(
-            paper_running_example()
-        )
-        singletons = {p.items for p in serial if len(p.items) == 1}
-        assert {p.items for p in found} == singletons
-
-    def test_payloads_are_snapshots_not_live_references(self):
-        # collect_growth_tasks mutates the tree (Lemma 3 push-ups) after
-        # serializing each base; a payload that aliased tree nodes would
-        # change under later suffixes.  Freeze copies up front, compare
-        # after the sweep completes.
-        tree, params = self._tree()
-        tasks = collect_growth_tasks(tree, params, [], MiningStats())
-        frozen = [
-            (item, [(list(path), list(ts)) for path, ts in base])
-            for item, base in tasks
-        ]
-        assert tasks == frozen
-
-    def test_max_length_one_yields_no_tasks(self):
-        tree, params = self._tree()
-        found, stats = [], MiningStats()
-        tasks = collect_growth_tasks(
-            tree, params, found, stats, max_length=1
-        )
-        assert tasks == []
-        assert found  # singletons are still reported by the sweep
-
-    def test_task_size_counts_base_timestamps(self):
-        task = ("a", [(["b"], [1.0, 2.0]), (["c", "b"], [3.0])])
-        assert growth_task_size(task) == 3

@@ -11,13 +11,10 @@ contract:
   ``FaultEvent`` log match the injected plan.
 
 Chunk-count control: the single-item database mines to exactly one
-vertical chunk, so vertical-engine faults are perfectly attributable
-and the counter assertions are exact.  The two-item database gives
-RP-growth two conditional-base chunks; faults that keep the pool
-healthy (``poison``, ``slow``) and the deadline path (``hang``) are
-still exact, but a ``crash`` breaks the whole pool and may charge the
-innocent in-flight chunk too (started-but-not-done attribution), so
-those assertions are a tight range rather than an equality.
+chunk for every engine (its one item is the only root), so faults are
+perfectly attributable and the counter assertions are exact.  Pool-wide
+breakage with an innocent in-flight sibling chunk is exercised on the
+paper's database (``test_multi_chunk_crash_still_matches_serial``).
 """
 
 import pytest
@@ -46,10 +43,9 @@ PARAMS = {"per": 2, "min_ps": 3, "min_rec": 2}
 TS = (1, 2, 3, 5, 6, 7, 11, 12, 13)
 
 
-def _single_chunk_db(engine: str) -> TransactionalDatabase:
-    """One vertical chunk ('a' only) / two growth chunks ('ab')."""
-    items = "ab" if engine == "rp-growth" else "a"
-    return TransactionalDatabase([(ts, items) for ts in TS])
+def _single_chunk_db() -> TransactionalDatabase:
+    """One item, 'a': the only root of every engine, so one chunk."""
+    return TransactionalDatabase([(ts, "a") for ts in TS])
 
 
 def _mine(engine, database, **kwargs):
@@ -80,7 +76,7 @@ def _assert_identical(serial, recovered):
 @pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
 @pytest.mark.parametrize("kind", FAULT_KINDS)
 def test_fault_matrix_recovers_serial_result(engine, kind):
-    database = _single_chunk_db(engine)
+    database = _single_chunk_db()
     serial_miner, serial = _mine(engine, database, jobs=1)
     plan = FaultPlan.single(
         kind, chunk=0, seconds=5.0 if kind == "hang" else 0.2
@@ -101,11 +97,6 @@ def test_fault_matrix_recovers_serial_result(engine, kind):
         # A straggler is not a failure: no retries, empty fault log.
         assert miner.last_stats.chunks_retried == 0
         assert miner.last_faults == []
-    elif kind == "crash" and engine == "rp-growth":
-        # Pool-wide breakage: the in-flight sibling chunk may be
-        # charged too (see module docstring).
-        assert 1 <= miner.last_stats.chunks_retried <= 2
-        assert all(event.action == "retry" for event in miner.last_faults)
     else:
         assert miner.last_stats.chunks_retried == 1
         assert [event.action for event in miner.last_faults] == ["retry"]
@@ -138,7 +129,7 @@ def test_multi_chunk_crash_still_matches_serial(engine):
 def test_persistent_poison_falls_back_to_serial(engine):
     """execution=None poisons every execution: retries exhaust, the
     chunk is re-mined in-process, and the result is still exact."""
-    database = _single_chunk_db(engine)
+    database = _single_chunk_db()
     serial_miner, serial = _mine(engine, database, jobs=1)
     miner, recovered = _mine(
         engine, database, jobs=2, retry_backoff=0.0,
@@ -158,12 +149,12 @@ def test_persistent_poison_falls_back_to_serial(engine):
     ]
 
 
-@pytest.mark.parametrize("engine", ("rp-eclat", "rp-eclat-vec"))
+@pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
 def test_persistent_crash_falls_back_to_serial(engine):
     """The fallback path must also survive a fault that kills every
     pool — the in-process re-mine runs unguarded, so the injected
     crash cannot reach the parent."""
-    database = _single_chunk_db(engine)
+    database = _single_chunk_db()
     _, serial = _mine(engine, database, jobs=1)
     miner, recovered = _mine(
         engine, database, jobs=2, retry_backoff=0.0,
@@ -180,13 +171,16 @@ def test_persistent_crash_falls_back_to_serial(engine):
 # ----------------------------------------------------------------------
 # fallback="raise": the silent-abort regression
 # ----------------------------------------------------------------------
-def test_raise_mode_names_prefixes_and_keeps_partial_vertical():
+@pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
+def test_raise_mode_names_prefixes_and_keeps_partial(engine):
     """Regression: a dead chunk used to surface as a bare
     BrokenProcessPool with no prefix attribution and no partial
-    result.  ChunkFailedError must carry both."""
-    database = _single_chunk_db("rp-eclat")
+    result.  ChunkFailedError must carry both.  The dead chunk loses
+    its roots' whole sub-problems, 1-patterns included — for RP-growth
+    too, whose header items are roots like the vertical engines'."""
+    database = _single_chunk_db()
     miner = ParallelMiner(
-        engine="rp-eclat", **PARAMS, jobs=2, retry_backoff=0.0,
+        engine=engine, **PARAMS, jobs=2, retry_backoff=0.0,
         resilience=ResilienceOptions(
             max_retries=0,
             fallback="raise",
@@ -202,32 +196,11 @@ def test_raise_mode_names_prefixes_and_keeps_partial_vertical():
     assert [event.action for event in error.events] == ["raise"]
 
 
-def test_raise_mode_keeps_partial_growth():
-    """RP-growth: the serial header sweep's 1-patterns survive into
-    the partial result even when a conditional chunk dies."""
-    database = _single_chunk_db("rp-growth")
-    miner = ParallelMiner(
-        engine="rp-growth", **PARAMS, jobs=2, retry_backoff=0.0,
-        resilience=ResilienceOptions(
-            max_retries=0,
-            fallback="raise",
-            fault_plan=FaultPlan.single("poison", chunk=0, execution=None),
-        ),
-    )
-    with pytest.raises(ChunkFailedError) as excinfo:
-        miner.mine(database)
-    error = excinfo.value
-    # Chunk 0 is the largest conditional base: suffix item 'b'.
-    assert error.failed_prefixes == ("b",)
-    partial_items = {frozenset(p.items) for p in error.partial}
-    assert {frozenset("a"), frozenset("b")} <= partial_items
-
-
 # ----------------------------------------------------------------------
 # Telemetry: spans and the faults trace section
 # ----------------------------------------------------------------------
 def test_retry_spans_graft_under_mine():
-    database = _single_chunk_db("rp-eclat")
+    database = _single_chunk_db()
     _, telemetry = mine_recurring_patterns(
         database, engine="rp-eclat", **PARAMS, jobs=2,
         resilience=ResilienceOptions(
@@ -248,7 +221,7 @@ def test_retry_spans_graft_under_mine():
 
 
 def test_run_record_carries_faults_section():
-    database = _single_chunk_db("rp-eclat")
+    database = _single_chunk_db()
     _, telemetry = mine_recurring_patterns(
         database, engine="rp-eclat", **PARAMS, jobs=2,
         resilience=ResilienceOptions(
@@ -273,7 +246,7 @@ def test_run_record_carries_faults_section():
 
 
 def test_clean_run_has_no_faults_section():
-    database = _single_chunk_db("rp-eclat")
+    database = _single_chunk_db()
     _, telemetry = mine_recurring_patterns(
         database, engine="rp-eclat", **PARAMS, jobs=2,
         observability=ObservabilityOptions(collect_stats=True),
