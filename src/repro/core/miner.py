@@ -26,6 +26,7 @@ import time
 import warnings
 from typing import List, Optional, Tuple, Union
 
+from repro._gc import paused_gc
 from repro._validation import Number
 from repro.core.engines import get_engine
 from repro.core.options import ObservabilityOptions, ResilienceOptions
@@ -315,22 +316,27 @@ def run_request(
     serial runs and for fault-free parallel runs.  ``monitor`` (a
     :class:`~repro.obs.progress.MiningMonitor`) receives live progress
     on both paths.
-    """
-    if request.jobs > 1:
-        from repro.parallel import ParallelMiner
 
-        miner = ParallelMiner(
-            request.per, request.min_ps, request.min_rec,
-            engine=request.engine, jobs=request.jobs,
-            resilience=request.resilience, monitor=monitor,
+    The cyclic collector is paused for the whole run: the engine's
+    object graph (the RP-tree, in the parallel parent too) stays live
+    until the run ends, so a collection during it finds no garbage.
+    """
+    with paused_gc():
+        if request.jobs > 1:
+            from repro.parallel import ParallelMiner
+
+            miner = ParallelMiner(
+                request.per, request.min_ps, request.min_rec,
+                engine=request.engine, jobs=request.jobs,
+                resilience=request.resilience, monitor=monitor,
+            )
+            result = miner.mine(database)
+            return result, miner.last_stats or MiningStats(), miner.last_faults
+        serial = get_engine(request.engine).factory(
+            request.per, request.min_ps, request.min_rec
         )
-        result = miner.mine(database)
-        return result, miner.last_stats or MiningStats(), miner.last_faults
-    serial = get_engine(request.engine).factory(
-        request.per, request.min_ps, request.min_rec
-    )
-    result = mine_serial(serial, request.engine, database, monitor)
-    return result, serial.last_stats or MiningStats(), []
+        result = mine_serial(serial, request.engine, database, monitor)
+        return result, serial.last_stats or MiningStats(), []
 
 
 def mine_serial(

@@ -25,6 +25,7 @@ from typing import (
     Tuple,
 )
 
+from repro._gc import paused_gc
 from repro.exceptions import DataFormatError, EmptyDatabaseError
 from repro.timeseries.events import Event, EventSequence, Item
 
@@ -76,29 +77,33 @@ class TransactionalDatabase:
     __slots__ = ("_transactions", "_item_index", "_columnar", "_digest")
 
     def __init__(self, transactions: Iterable[Tuple[float, Iterable[Item]]] = ()):
-        merged: Dict[float, set] = {}
-        for raw in transactions:
-            try:
-                ts, items = raw
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(
-                    f"transaction must be a (ts, items) pair, got {raw!r}"
-                ) from exc
-            if isinstance(ts, bool) or not isinstance(ts, (int, float)):
-                raise DataFormatError(
-                    f"transaction timestamp must be a number, got {ts!r}"
-                )
-            if not math.isfinite(ts):
-                raise DataFormatError(
-                    f"transaction timestamp must be finite, got {ts!r}"
-                )
-            itemset = set(items)
-            if not itemset:
-                continue
-            merged.setdefault(ts, set()).update(itemset)
-        self._transactions: Tuple[Transaction, ...] = tuple(
-            Transaction(ts, frozenset(merged[ts])) for ts in sorted(merged)
-        )
+        # The pause also covers a lazy source: a file parsed row by row
+        # into this loop allocates without a collector pass.
+        with paused_gc():
+            merged: Dict[float, set] = {}
+            for raw in transactions:
+                try:
+                    ts, items = raw
+                except (TypeError, ValueError) as exc:
+                    raise DataFormatError(
+                        f"transaction must be a (ts, items) pair, got {raw!r}"
+                    ) from exc
+                if isinstance(ts, bool) or not isinstance(ts, (int, float)):
+                    raise DataFormatError(
+                        f"transaction timestamp must be a number, got {ts!r}"
+                    )
+                if not math.isfinite(ts):
+                    raise DataFormatError(
+                        f"transaction timestamp must be finite, got {ts!r}"
+                    )
+                itemset = set(items)
+                if not itemset:
+                    continue
+                merged.setdefault(ts, set()).update(itemset)
+            self._transactions: Tuple[Transaction, ...] = tuple(
+                Transaction(ts, frozenset(merged[ts]))
+                for ts in sorted(merged)
+            )
         self._item_index: Optional[Dict[Item, Tuple[float, ...]]] = None
         self._columnar = None
         self._digest: Optional[str] = None

@@ -10,13 +10,12 @@ Timestamps are parsed as ``int`` when possible, otherwise ``float``.
 Blank lines and lines starting with ``#`` are ignored.  Malformed lines
 raise :class:`~repro.exceptions.DataFormatError` with the line number.
 
-Besides the eager loaders, the transaction format has a *streaming*
-surface for out-of-core work (:mod:`repro.shard`):
+The transaction format is read as a stream:
 
 * :func:`stream_transaction_rows` lazily yields parsed ``(ts, items)``
   rows — optionally via ``mmap`` — without materializing the file;
-* :func:`load_transactional_database_streaming` builds a database from
-  that stream (byte-identical to :func:`load_transactional_database`);
+* :func:`load_transactional_database` feeds that stream straight into
+  the database constructor, so no intermediate row list is built;
 * :func:`iter_database_chunks` cuts a *time-sorted* file into bounded
   :class:`~repro.timeseries.database.TransactionalDatabase` chunks,
   merging rows that share a timestamp and never splitting one across
@@ -40,7 +39,6 @@ __all__ = [
     "save_event_sequence",
     "load_transactional_database",
     "save_transactional_database",
-    "load_transactional_database_streaming",
     "stream_transaction_rows",
     "iter_database_chunks",
     "load_spmf_transactions",
@@ -77,11 +75,15 @@ def save_event_sequence(events: EventSequence, target: PathOrFile) -> None:
 
 
 def load_transactional_database(source: PathOrFile) -> TransactionalDatabase:
-    """Read a transactional database from ``source``."""
-    rows: List[Tuple[float, List[str]]] = []
-    for line_no, line in _lines(source):
-        rows.append(_parse_transaction_line(line_no, line))
-    return TransactionalDatabase(rows)
+    """Read a transactional database from ``source``.
+
+    Rows are parsed one at a time as the constructor consumes them
+    (:func:`stream_transaction_rows`), so no intermediate row list is
+    built.  For a memory-mapped read, pass
+    ``stream_transaction_rows(path, use_mmap=True)`` to the
+    constructor.
+    """
+    return TransactionalDatabase(stream_transaction_rows(source))
 
 
 def stream_transaction_rows(
@@ -90,11 +92,10 @@ def stream_transaction_rows(
     """Lazily yield ``(ts, items)`` rows of a transaction-format source.
 
     The generator parses one line at a time, so the file is never
-    materialized: blank lines and ``#`` comments are skipped exactly as
-    the eager loader skips them, and a malformed line raises
-    :class:`~repro.exceptions.DataFormatError` *when the iterator
-    reaches it*, carrying the same line number the eager loader would
-    report.
+    materialized: blank lines and ``#`` comments are skipped, and a
+    malformed line raises :class:`~repro.exceptions.DataFormatError`
+    *when the iterator reaches it*, carrying its line number in the
+    file (skipped lines counted).
 
     With ``use_mmap=True`` (paths only) the file is memory-mapped and
     lines are decoded straight from the mapping — the OS pages the data
@@ -102,20 +103,6 @@ def stream_transaction_rows(
     """
     for line_no, line in _lines(source, use_mmap=use_mmap):
         yield _parse_transaction_line(line_no, line)
-
-
-def load_transactional_database_streaming(
-    source: PathOrFile, *, use_mmap: bool = False
-) -> TransactionalDatabase:
-    """Build a database by streaming ``source`` row by row.
-
-    Byte-identical to :func:`load_transactional_database` on any input
-    (same parsing, same grouping, same errors); only the peak memory
-    profile differs — no intermediate row list is ever built.
-    """
-    return TransactionalDatabase(
-        stream_transaction_rows(source, use_mmap=use_mmap)
-    )
 
 
 def iter_database_chunks(
@@ -126,9 +113,10 @@ def iter_database_chunks(
     Yields :class:`~repro.timeseries.database.TransactionalDatabase`
     chunks of at most ``max_transactions`` transactions each.  Rows
     sharing a timestamp are merged into one transaction (exactly like
-    the eager loader's constructor pass) and are never split across a
-    chunk boundary, so concatenating the chunks reproduces the eager
-    database transaction for transaction.
+    the database constructor) and are never split across a chunk
+    boundary, so concatenating the chunks reproduces
+    :func:`load_transactional_database`'s database transaction for
+    transaction.
 
     Timestamps must be non-decreasing in file order — chunking an
     unsorted file by position would not partition the *time* axis, so a
@@ -289,7 +277,7 @@ def _iter_mmap(path: Union[str, "os.PathLike[str]"]) -> Iterator[Tuple[int, str]
 def _parse_transaction_line(
     line_no: int, line: str
 ) -> Tuple[float, List[str]]:
-    """Parse one transaction-format line (shared by eager and streaming)."""
+    """Parse one transaction-format line (shared by every reader)."""
     parts = line.split("\t")
     if len(parts) != 2 or not parts[1].strip():
         raise DataFormatError(

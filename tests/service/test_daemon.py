@@ -8,6 +8,7 @@ path ``repro-mine submit/status/fetch`` takes.
 
 import asyncio
 import contextlib
+import gc
 import io
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -171,6 +172,25 @@ def test_concurrent_submissions_all_complete(running_example, example_ref):
         stats = service.cache.stats()
         assert stats["misses"] == 1
         assert stats["hits"] + stats["derived"] == len(min_recs)
+
+
+def test_concurrent_misses_leave_the_collector_enabled(example_ref):
+    # Two workers load and mine at once, so their collector pauses
+    # overlap; the pause that turned collection off turns it back on.
+    with running_service(workers=2) as service:
+        client = ServiceClient(port=service.port)
+
+        def one(per: int) -> str:
+            job_id = client.submit(
+                MiningRequest(per=per, min_ps=2, min_rec=1, source=example_ref)
+            )
+            return client.wait(job_id, timeout=60)["status"]
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            statuses = list(pool.map(one, range(1, 9)))
+        assert statuses == ["done"] * 8
+        assert service.cache.stats()["misses"] == 8
+    assert gc.isenabled()
 
 
 # ----------------------------------------------------------------------

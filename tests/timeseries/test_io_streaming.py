@@ -1,12 +1,12 @@
-"""Streaming/mmap/chunked readers vs. the eager loader, on real files.
+"""Streaming/mmap/chunked readers vs. a fully materialized read.
 
 ``tests/timeseries/corpus/`` holds checked-in transaction files — the
 paper's running example (annotated with comments and blank lines), a
 planted workload, float/negative timestamps, duplicate timestamps and
-a deliberately unsorted file.  Every reader variant must agree with
-the eager loader byte for byte on each of them, and the streaming
-error contract (lazy, line-numbered ``DataFormatError``) must match
-the eager one.
+a deliberately unsorted file.  Every reader variant must agree byte
+for byte with the database built from the file's rows read into a
+list first, and errors stay lazy and line-numbered
+(``DataFormatError``) on every variant.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.io import (
     iter_database_chunks,
     load_transactional_database,
-    load_transactional_database_streaming,
     save_transactional_database,
     stream_transaction_rows,
 )
@@ -47,9 +46,11 @@ def test_corpus_is_present_and_nontrivial():
     "path", CORPUS_FILES, ids=lambda p: p.name
 )
 def test_streaming_loader_matches_eager_on_corpus(path):
-    eager = load_transactional_database(path)
-    streamed = load_transactional_database_streaming(path)
-    mapped = load_transactional_database_streaming(path, use_mmap=True)
+    eager = TransactionalDatabase(list(stream_transaction_rows(path)))
+    streamed = load_transactional_database(path)
+    mapped = TransactionalDatabase(
+        stream_transaction_rows(path, use_mmap=True)
+    )
     assert _content_equal(streamed, eager)
     assert _content_equal(mapped, eager)
 
@@ -59,7 +60,7 @@ def test_streaming_loader_matches_eager_on_corpus(path):
 )
 def test_streaming_works_on_open_handles(path):
     with open(path, encoding="utf-8") as handle:
-        streamed = load_transactional_database_streaming(handle)
+        streamed = load_transactional_database(handle)
     assert _content_equal(streamed, load_transactional_database(path))
 
 
@@ -152,7 +153,9 @@ def test_mmap_empty_file(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("", encoding="utf-8")
     assert list(stream_transaction_rows(path, use_mmap=True)) == []
-    assert len(load_transactional_database_streaming(path, use_mmap=True)) == 0
+    assert len(
+        TransactionalDatabase(stream_transaction_rows(path, use_mmap=True))
+    ) == 0
 
 
 def test_round_trip_through_save(tmp_path):
@@ -161,7 +164,9 @@ def test_round_trip_through_save(tmp_path):
         target = tmp_path / source.name
         save_transactional_database(database, target)
         assert _content_equal(
-            load_transactional_database_streaming(target, use_mmap=True),
+            TransactionalDatabase(
+                stream_transaction_rows(target, use_mmap=True)
+            ),
             database,
         )
         chunks = list(iter_database_chunks(target, 2))
