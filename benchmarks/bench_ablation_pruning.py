@@ -1,8 +1,8 @@
 """Ablation E-A1: the Erec pruning bound vs the naive support bound.
 
 Section 4.1 motivates Erec as the device that restores (candidate)
-anti-monotonicity.  This bench runs the vertical engine twice on the
-same workload — once with the paper's Erec bound, once with the best
+anti-monotonicity.  This bench runs the vertical engine
+(``RPEclatVec``) twice on the same workload — once with the paper's Erec bound, once with the best
 bound available without it (support >= minPS * minRec) — and measures
 both the wall clock and the number of lattice nodes expanded.  The two
 runs must return identical pattern sets; Erec must never expand more.
@@ -10,7 +10,7 @@ runs must return identical pattern sets; Erec must never expand more.
 
 import pytest
 
-from repro.core.rp_eclat import RPEclat
+from repro.core.rp_eclat_vec import RPEclatVec
 
 SETTINGS = [
     ("quest", 360, 0.002, 2),
@@ -29,7 +29,7 @@ def test_pruning_runtime(
     dataset, per, min_ps, min_rec, pruning, benchmark, request
 ):
     db = request.getfixturevalue(f"{dataset}_db")
-    miner = RPEclat(per, min_ps, min_rec, pruning=pruning)
+    miner = RPEclatVec(per, min_ps, min_rec, pruning=pruning)
     benchmark(miner.mine, db)
 
 
@@ -44,9 +44,9 @@ def test_pruning_effectiveness(
     db = request.getfixturevalue(f"{dataset}_db")
 
     def run():
-        strong = RPEclat(per, min_ps, min_rec, pruning="erec")
+        strong = RPEclatVec(per, min_ps, min_rec, pruning="erec")
         strong_result = strong.mine(db)
-        weak = RPEclat(per, min_ps, min_rec, pruning="support")
+        weak = RPEclatVec(per, min_ps, min_rec, pruning="support")
         weak_result = weak.mine(db)
         return strong, strong_result, weak, weak_result
 

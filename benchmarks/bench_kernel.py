@@ -1,8 +1,8 @@
-"""Columnar kernel: ``rp-eclat-vec`` vs the scalar engines.
+"""Columnar kernel: ``rp-eclat-vec`` vs ``rp-growth``.
 
 Mines the ``BENCH_parallel.json`` quest grids (the E-A3 configuration:
 per=360, minPS=0.2%, minRec=1, scales 0.05 and 0.2) with the batched
-columnar engine and its scalar ancestors, asserts byte-identical
+columnar engine and the paper's tree engine, asserts byte-identical
 pattern sets, and records the wall-clock comparison to
 ``BENCH_kernel.json`` at the repository root in the ``repro-bench/v1``
 envelope.
@@ -10,14 +10,7 @@ envelope.
 The acceptance gate is the kernel's reason to exist: on every grid,
 ``rp-eclat-vec`` must be at least :data:`MIN_SPEEDUP` times faster
 than ``rp-growth`` (best-of-:data:`REPEATS` on both sides, so pool
-noise and first-run cache effects cancel).  ``rp-eclat`` rides along
-unrepeated as the scalar vertical baseline — it is one to two orders
-of magnitude off the pace and only there for scale.
-
-The bench also measures the dense-bitmap vs ``intersect1d`` crossover
-that :func:`repro.core.accel.intersect_arrays` hard-codes (combined
-operand size >= universe / 8): a density sweep on a synthetic universe,
-recorded (not gated) so the constant can be revisited on new hardware.
+noise and first-run cache effects cancel).
 """
 
 import json
@@ -25,18 +18,14 @@ import os
 import pathlib
 import time
 
-import numpy as np
-
 from repro.bench.workloads import quest_workload
-from repro.core.accel import intersect_arrays
 from repro.core.engines import get_engine
 
 SCALES = (0.05, 0.2)  # the BENCH_parallel quest grids
 PARAMS = {"per": 360, "min_ps": 0.002, "min_rec": 1}
-#: Best-of repetitions for the gated engines; the scalar ``rp-eclat``
-#: baseline runs once (it is ~50x slower and not part of the gate).
+ENGINES = ("rp-growth", "rp-eclat-vec")
+#: Best-of repetitions per engine.
 REPEATS = 5
-ENGINE_REPEATS = {"rp-growth": REPEATS, "rp-eclat": 1, "rp-eclat-vec": REPEATS}
 #: The gate: the columnar kernel must beat rp-growth by this factor on
 #: every grid (ISSUE 7 acceptance criterion).
 MIN_SPEEDUP = 5.0
@@ -48,7 +37,7 @@ def _best_mine(engine_name, db):
     spec = get_engine(engine_name)
     best_seconds = float("inf")
     patterns = None
-    for _ in range(ENGINE_REPEATS[engine_name]):
+    for _ in range(REPEATS):
         miner = spec.factory(**PARAMS)
         started = time.perf_counter()
         found = miner.mine(db)
@@ -59,52 +48,13 @@ def _best_mine(engine_name, db):
     return best_seconds, patterns
 
 
-def _intersection_crossover():
-    """Bitmap vs sort-merge timings across operand density.
-
-    Both paths compute the same intersection; the recorded table shows
-    where the dense gather starts to win (the ``universe >> 3``
-    constant in :func:`repro.core.accel.intersect_arrays`).
-    """
-    universe = 200_000
-    rng = np.random.default_rng(7)
-    rows = []
-    for denominator in (64, 32, 16, 8, 4, 2):
-        size = universe // denominator
-        left = np.sort(rng.choice(universe, size=size, replace=False))
-        right = np.sort(rng.choice(universe, size=size, replace=False))
-        timings = {}
-        for label, kwargs in (
-            ("merge", {}),                      # forces intersect1d
-            ("bitmap", {"universe": universe}),  # density >= 1/8 cases
-        ):
-            best = float("inf")
-            for _ in range(3):
-                started = time.perf_counter()
-                result = intersect_arrays(left, right, **kwargs)
-                best = min(best, time.perf_counter() - started)
-            timings[label] = best
-        assert np.array_equal(
-            intersect_arrays(left, right),
-            intersect_arrays(left, right, universe=universe),
-        )
-        rows.append(
-            {
-                "combined_over_universe": 2 * size / universe,
-                "merge_seconds": timings["merge"],
-                "bitmap_seconds": timings["bitmap"],
-            }
-        )
-    return rows
-
-
 def test_kernel_speedup(record_artifact):
     cells = []
     table_rows = []
     for scale in SCALES:
         db = quest_workload(scale)
         results = {}
-        for engine in ENGINE_REPEATS:
+        for engine in ENGINES:
             seconds, patterns = _best_mine(engine, db)
             results[engine] = (seconds, patterns)
         # The speedup only counts because the outputs are identical.
@@ -122,14 +72,12 @@ def test_kernel_speedup(record_artifact):
                     "wall_seconds": seconds,
                     "speedup_vs_growth": speedup,
                     "patterns": len(patterns),
-                    "repeats": ENGINE_REPEATS[engine],
+                    "repeats": REPEATS,
                 }
             )
             table_rows.append(
                 (scale, len(db), engine, f"{seconds:.4f}", f"{speedup:.2f}x")
             )
-
-    crossover = _intersection_crossover()
 
     from repro.bench.reporting import format_table
 
@@ -138,7 +86,7 @@ def test_kernel_speedup(record_artifact):
         format_table(
             ["scale", "transactions", "engine", "seconds", "vs growth"],
             table_rows,
-            title="Columnar kernel vs scalar engines, quest",
+            title="Columnar kernel vs rp-growth, quest",
         ),
     )
 
@@ -154,11 +102,6 @@ def test_kernel_speedup(record_artifact):
             "platform": os.uname().sysname if hasattr(os, "uname") else "?",
         },
         "cells": cells,
-        "intersection_crossover": {
-            "universe": 200_000,
-            "bitmap_threshold": "combined size >= universe / 8",
-            "rows": crossover,
-        },
     }
     BENCH_PATH.write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"

@@ -81,7 +81,7 @@ def main() -> None:
     # least 2 distinct episodes.
     minutes_per_day = int(DAY / MINUTE)
     found = mine_recurring_patterns(
-        database, per=60, min_ps=30, min_rec=2, engine="rp-eclat"
+        database, per=60, min_ps=30, min_rec=2, engine="rp-eclat-vec"
     )
 
     rows = [

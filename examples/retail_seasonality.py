@@ -49,7 +49,7 @@ def main() -> None:
         per=MINUTES_PER_DAY,
         min_ps=60,
         min_rec=2,
-        engine="rp-eclat",
+        engine="rp-eclat-vec",
     )
     seasonal_categories = {
         f"c{category + offset}" for category, _ in SEASONAL for offset in (0, 1)

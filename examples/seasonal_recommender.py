@@ -54,7 +54,7 @@ def main() -> None:
     )
 
     found = mine_recurring_patterns(
-        database, per=3, min_ps=15, min_rec=2, engine="rp-eclat"
+        database, per=3, min_ps=15, min_rec=2, engine="rp-eclat-vec"
     )
     rules = derive_rules(found, database, min_confidence=0.6)
     seasonal_rules = [r for r in rules if "jacket" in r.antecedent]

@@ -64,7 +64,7 @@ def main() -> None:
     )
 
     found = mine_recurring_patterns(
-        database, per=4, min_ps=12, min_rec=2, engine="rp-eclat"
+        database, per=4, min_ps=12, min_rec=2, engine="rp-eclat-vec"
     )
     multi = [p for p in found if p.length >= 2]
     rows = [

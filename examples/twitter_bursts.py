@@ -42,7 +42,7 @@ def main() -> None:
         per=360,
         min_ps=0.01,
         min_rec=1,
-        engine="rp-eclat",
+        engine="rp-eclat-vec",
     )
     print(f"\n{len(found)} recurring patterns in total")
 

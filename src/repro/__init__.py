@@ -41,7 +41,6 @@ from repro.core.model import (
 from repro.core.naive import mine_recurring_patterns_naive
 from repro.core.noise import NoiseTolerantMiner, mine_noise_tolerant_patterns
 from repro.core.periods import suggest_per
-from repro.core.rp_eclat import RPEclat
 from repro.core.rp_growth import RPGrowth
 from repro.core.rules import RecurringRule, SeasonalRecommender, derive_rules
 from repro.core.targeted import mine_patterns_containing
@@ -77,7 +76,6 @@ __all__ = [
     "DatasetRef",
     "execute_request",
     "RPGrowth",
-    "RPEclat",
     "ParallelMiner",
     "MiningStats",
     "MiningParameters",

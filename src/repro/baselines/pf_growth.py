@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple, Union
 
 from repro._validation import Number, check_positive, resolve_count_threshold
 from repro.baselines.model import PatternCollection, PeriodicFrequentPattern
-from repro.core.rp_eclat import intersect_sorted
+from repro.core.intervals import intersect_sorted
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.events import Item
 

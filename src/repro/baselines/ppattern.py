@@ -37,7 +37,7 @@ from repro._validation import (
 )
 from repro.baselines.apriori import generate_candidates
 from repro.baselines.model import PatternCollection, PPattern
-from repro.core.rp_eclat import intersect_sorted
+from repro.core.intervals import intersect_sorted
 from repro.exceptions import ParameterError
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.events import Item

@@ -9,8 +9,8 @@ This subpackage is the paper's primary contribution:
 * :mod:`repro.core.rp_list` — Algorithm 1 (candidate-item discovery);
 * :mod:`repro.core.rp_tree` — Algorithms 2–3 (RP-tree construction);
 * :mod:`repro.core.rp_growth` — Algorithms 4–5 (pattern-growth mining);
-* :mod:`repro.core.rp_eclat` — an independent vertical engine with the
-  same pruning, used for cross-validation and ablations;
+* :mod:`repro.core.rp_eclat_vec` — an independent vertical engine with
+  the same pruning, used for cross-validation and ablations;
 * :mod:`repro.core.naive` — an exhaustive, pruning-free reference miner;
 * :mod:`repro.core.miner` — the public façade
   :func:`~repro.core.miner.mine_recurring_patterns`.
@@ -50,7 +50,6 @@ from repro.core.model import (
     RecurringPatternSet,
 )
 from repro.core.naive import mine_recurring_patterns_naive
-from repro.core.rp_eclat import RPEclat
 from repro.core.rp_growth import RPGrowth
 from repro.core.rp_list import RPList, RPListEntry, build_rp_list
 
@@ -68,7 +67,6 @@ __all__ = [
     "RPListEntry",
     "build_rp_list",
     "RPGrowth",
-    "RPEclat",
     "mine_recurring_patterns",
     "mine_recurring_patterns_naive",
     # Extensions

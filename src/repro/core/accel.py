@@ -11,9 +11,6 @@ from, property-tested byte-identical to their pure counterparts
   sequences concatenated into one array** and returns per-segment
   ``Erec``/``Rec`` plus every interesting run — one call replaces a
   whole python loop of per-candidate evaluations;
-* sorted-array ts-list intersection :func:`intersect_arrays`
-  (``np.intersect1d`` with a dense-bitmap gather for high-support
-  operands — see ``docs/performance.md`` for the crossover);
 * the dtype guard :func:`as_timestamp_array`, which converts raw
   timestamps to a columnar ``int64``/``float64`` array and raises
   :class:`~repro.exceptions.ParameterError` instead of silently
@@ -22,7 +19,7 @@ from, property-tested byte-identical to their pure counterparts
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +28,6 @@ from repro.exceptions import ParameterError
 
 __all__ = [
     "segmented_interval_stats",
-    "intersect_arrays",
     "as_timestamp_array",
     "INT64_SAFE_BOUND",
 ]
@@ -116,42 +112,6 @@ def as_timestamp_array(values: Sequence[Number]) -> np.ndarray:
                     "integer timebase instead"
                 )
     return array
-
-
-def intersect_arrays(
-    left: np.ndarray,
-    right: np.ndarray,
-    universe: Union[int, None] = None,
-) -> np.ndarray:
-    """Intersection of two strictly increasing arrays, in order.
-
-    The array counterpart of
-    :func:`repro.core.rp_eclat.intersect_sorted` (property-tested
-    equal).  With ``universe`` — the number of transactions the values
-    index into — high-support operands take a dense-bitmap membership
-    gather, which is O(|left| + |right|) with tiny constants; sparse
-    operands use ``np.intersect1d(assume_unique=True)`` (sort-merge).
-    The crossover (combined size ≥ universe / 8) is measured in
-    ``benchmarks/bench_kernel.py`` and documented in
-    ``docs/performance.md``.
-
-    Examples
-    --------
-    >>> intersect_arrays(np.array([1, 3, 4, 7]), np.array([3, 7, 9]))
-    array([3, 7])
-    """
-    left = np.asarray(left)
-    right = np.asarray(right)
-    if (
-        universe is not None
-        and np.issubdtype(left.dtype, np.integer)
-        and np.issubdtype(right.dtype, np.integer)
-        and left.size + right.size >= universe >> 3
-    ):
-        mask = np.zeros(universe, dtype=bool)
-        mask[left] = True
-        return right[mask[right]]
-    return np.intersect1d(left, right, assume_unique=True)
 
 
 def segmented_interval_stats(

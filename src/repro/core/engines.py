@@ -22,8 +22,8 @@ A factory is called as ``factory(per, min_ps, min_rec, **options)``
 and returns an object with ``mine(database)`` and ``last_stats``
 (the :class:`~repro.obs.counters.StatsSource` protocol).  Factories
 accept the engine-specific options they understand (``item_order``,
-``pruning``, ``max_length``) and ignore the rest, so one call site can
-drive any engine.  The factory is the only way the library builds an
+``max_length``) and ignore the rest, so one call site can drive any
+engine.  The factory is the only way the library builds an
 engine — serial runs, :class:`~repro.parallel.ParallelMiner` and its
 pool workers alike.
 
@@ -31,9 +31,9 @@ Examples
 --------
 >>> from repro.core.engines import engine_names, get_engine
 >>> engine_names()
-('rp-growth', 'rp-eclat', 'rp-eclat-vec', 'naive')
+('rp-growth', 'rp-eclat-vec', 'naive')
 >>> engine_names(supports_jobs=True)
-('rp-growth', 'rp-eclat', 'rp-eclat-vec')
+('rp-growth', 'rp-eclat-vec')
 >>> get_engine("naive").supports_jobs
 False
 """
@@ -169,22 +169,6 @@ def _make_rp_growth(
     )
 
 
-def _make_rp_eclat(
-    per,
-    min_ps,
-    min_rec,
-    *,
-    pruning: str = "erec",
-    max_length=None,
-    **_ignored,
-):
-    from repro.core.rp_eclat import RPEclat
-
-    return RPEclat(
-        per, min_ps, min_rec, pruning=pruning, max_length=max_length
-    )
-
-
 def _make_rp_eclat_vec(per, min_ps, min_rec, *, max_length=None, **_ignored):
     from repro.core.rp_eclat_vec import RPEclatVec
 
@@ -221,12 +205,6 @@ register_engine(
     _make_rp_growth,
     supports_jobs=True,
     description="the paper's RP-growth algorithm (default)",
-)
-register_engine(
-    "rp-eclat",
-    _make_rp_eclat,
-    supports_jobs=True,
-    description="vertical cross-check engine",
 )
 register_engine(
     "rp-eclat-vec",

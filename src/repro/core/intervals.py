@@ -30,6 +30,7 @@ from repro._validation import check_count, check_positive
 
 __all__ = [
     "inter_arrival_times",
+    "intersect_sorted",
     "periodic_intervals",
     "interesting_intervals",
     "periodic_supports",
@@ -52,6 +53,35 @@ def inter_arrival_times(timestamps: Sequence[float]) -> Tuple[float, ...]:
     return tuple(
         later - earlier for earlier, later in zip(timestamps, timestamps[1:])
     )
+
+
+def intersect_sorted(
+    left: Sequence[float], right: Sequence[float]
+) -> List[float]:
+    """Intersection of two strictly increasing sequences, in order.
+
+    ``TS^(X∪Y) = TS^X ∩ TS^Y``: how the scalar miners derive a
+    superset's point sequence from two of its subsets'.
+
+    Examples
+    --------
+    >>> intersect_sorted([1, 3, 5, 7], [3, 4, 7, 9])
+    [3, 7]
+    """
+    result: List[float] = []
+    i = j = 0
+    len_left, len_right = len(left), len(right)
+    while i < len_left and j < len_right:
+        a, b = left[i], right[j]
+        if a == b:
+            result.append(a)
+            i += 1
+            j += 1
+        elif a < b:
+            i += 1
+        else:
+            j += 1
+    return result
 
 
 def periodic_intervals(

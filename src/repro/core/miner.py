@@ -87,11 +87,10 @@ def mine_recurring_patterns(
     engine:
         A name from the engine registry
         (:func:`repro.core.engines.engine_names`): ``"rp-growth"`` (the
-        paper's algorithm, default), ``"rp-eclat"`` (vertical
-        cross-check engine), ``"rp-eclat-vec"`` (batched columnar NumPy
-        kernel) or ``"naive"`` (exhaustive; small inputs only).  Engines
-        added via :func:`repro.core.engines.register_engine` work here
-        too.
+        paper's algorithm, default), ``"rp-eclat-vec"`` (batched
+        columnar NumPy kernel) or ``"naive"`` (exhaustive; small inputs
+        only).  Engines added via
+        :func:`repro.core.engines.register_engine` work here too.
     jobs:
         Worker-process count.  ``None`` or ``1`` mines serially
         (byte-identical to earlier releases); ``jobs > 1`` partitions

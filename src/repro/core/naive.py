@@ -16,12 +16,12 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro._validation import Number
+from repro.core.intervals import intersect_sorted
 from repro.core.model import (
     MiningParameters,
     RecurringPattern,
     RecurringPatternSet,
 )
-from repro.core.rp_eclat import intersect_sorted
 from repro.exceptions import SearchSpaceError
 from repro.obs.counters import MiningStats
 from repro.obs.spans import span
@@ -67,7 +67,7 @@ def mine_recurring_patterns_naive(
     if len(items) > max_items:
         raise SearchSpaceError(
             f"naive miner refuses {len(items)} items (limit {max_items}); "
-            "use RPGrowth or RPEclat for real mining"
+            "use RPGrowth or RPEclatVec for real mining"
         )
     counters.candidate_items = len(items)
 

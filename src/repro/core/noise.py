@@ -36,13 +36,12 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 from repro._validation import Number, check_count, check_positive
-from repro.core.intervals import estimated_recurrence
+from repro.core.intervals import estimated_recurrence, intersect_sorted
 from repro.core.model import (
     PeriodicInterval,
     RecurringPattern,
     RecurringPatternSet,
 )
-from repro.core.rp_eclat import intersect_sorted
 from repro.exceptions import ParameterError
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.events import Item

@@ -16,8 +16,7 @@ in one batched pass —
    TS(X∪q)``), so each node's extension ts-lists form one *contiguous
    suffix* of its family's block — per node only a three-operation
    dense-bitmap membership gather remains (``searchsorted`` when the
-   node's list dwarfs the suffix; crossover measured in
-   ``benchmarks/bench_kernel.py``);
+   node's list is more than four times the suffix);
 2. one segmented ``np.diff`` + run-length-encoding sweep
    (:func:`~repro.core.accel.segmented_interval_stats`) scores the
    ``Erec`` bound of *every* intersection of the level and extracts its
@@ -28,11 +27,18 @@ in one batched pass —
 
 Pruning is the paper's ``Erec`` bound, which is anti-monotone: an
 extension that fails at a node fails in the whole subtree, so dropping
-it from the children's sibling lists visits exactly the node set
-``rp-eclat`` visits (``candidate_patterns`` / ``recurrence_evaluations``
-parity) while skipping re-evaluation of dead edges.  All counters are
-additive over nodes and edges, so the breadth-first order changes no
-total — including against this engine's own parallel runs.
+it from the children's sibling lists visits exactly the nodes whose
+``Erec`` reaches ``minRec`` (``candidate_patterns`` /
+``recurrence_evaluations`` parity with ``rp-growth``) while skipping
+re-evaluation of dead edges.  All counters are additive over nodes and
+edges, so the breadth-first order changes no total — including against
+this engine's own parallel runs.
+
+``pruning="support"`` swaps in the best bound available *without* the
+paper's insight: a recurring pattern needs ``minRec`` interesting
+intervals of ``minPS`` occurrences each, so a node with ``support <
+minPS * minRec`` is dropped.  The answer is the same, only more nodes
+are expanded: the Section 4.1 ablation (DESIGN.md E-A1).
 
 The engine speaks the standard vertical worker protocol
 (``_first_scan`` / ``_grow``), so :class:`~repro.parallel.ParallelMiner`
@@ -57,13 +63,14 @@ from repro.core.model import (
     RecurringPatternSet,
     ResolvedParameters,
 )
-from repro.core.ordering import sort_candidates
 from repro.obs.counters import MiningStats
 from repro.obs.spans import span
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.events import Item
 
 __all__ = ["RPEclatVec", "VecContext"]
+
+_PRUNING_STRATEGIES = ("erec", "support")
 
 
 class VecContext(NamedTuple):
@@ -110,7 +117,10 @@ class RPEclatVec:
     Parameters
     ----------
     per, min_ps, min_rec:
-        Model thresholds, as for :class:`~repro.core.rp_eclat.RPEclat`.
+        Model thresholds, as for :class:`~repro.core.rp_growth.RPGrowth`.
+    pruning:
+        ``"erec"`` (default, the paper's bound) or ``"support"`` (weak
+        baseline bound for the ablation).
     max_length:
         Stop extending patterns at this length (``None`` = unlimited).
 
@@ -128,9 +138,15 @@ class RPEclatVec:
         per: Number,
         min_ps: Union[int, float],
         min_rec: int,
+        pruning: str = "erec",
         max_length: Union[int, None] = None,
     ):
+        if pruning not in _PRUNING_STRATEGIES:
+            raise ValueError(
+                f"pruning must be one of {_PRUNING_STRATEGIES}, got {pruning!r}"
+            )
         self.params = MiningParameters(per=per, min_ps=min_ps, min_rec=min_rec)
+        self.pruning = pruning
         if max_length is not None and max_length < 1:
             raise ValueError(f"max_length must be >= 1, got {max_length!r}")
         self.max_length = max_length
@@ -191,7 +207,7 @@ class RPEclatVec:
         params: ResolvedParameters,
         stats: MiningStats,
     ) -> List[Tuple[Item, np.ndarray]]:
-        """Candidate 1-items with their id arrays, in canonical order.
+        """Candidate 1-items with their id arrays, rarest first.
 
         One segmented kernel call scores the ``Erec`` bound of *every*
         item: the concatenated CSR rows of the columnar view are
@@ -214,7 +230,7 @@ class RPEclatVec:
                 params.per,
                 params.min_ps,
             )
-            keep = erec >= params.min_rec
+            keep = self._passes_bound(erec, np.diff(column.indptr), params)
             candidates: List[Tuple[Item, np.ndarray]] = []
             for position in np.flatnonzero(keep).tolist():
                 row = column.item_rows(position)
@@ -222,7 +238,13 @@ class RPEclatVec:
                 stats.tid_list_entries += row.size
             stats.pruned_items += n_items - len(candidates)
             stats.candidate_items = len(candidates)
-            return sort_candidates(candidates)
+            # Rarest first, ties by repr(item) so any hashable item type
+            # orders deterministically.  The order matters twice: the
+            # parallel partition indexes roots by their position in
+            # this list, and rarest-first keeps the gathered blocks of
+            # the level loop short.
+            candidates.sort(key=lambda pair: (pair[1].size, repr(pair[0])))
+            return candidates
 
     def _grow(
         self,
@@ -380,7 +402,7 @@ class RPEclatVec:
             erec, _, run_pair, run_first, run_last = _segmented_interval_stats(
                 ts_inter, inter_ptr[:-1], params.per, params.min_ps
             )
-            surv_flag = erec >= min_rec
+            surv_flag = self._passes_bound(erec, counts, params)
             surv = np.flatnonzero(surv_flag)
             if surv.size == 0:
                 return
@@ -483,6 +505,15 @@ class RPEclatVec:
     # ------------------------------------------------------------------
     # Small array helpers
     # ------------------------------------------------------------------
+    def _passes_bound(
+        self, erec: np.ndarray, sizes: np.ndarray, params: ResolvedParameters
+    ) -> np.ndarray:
+        """Which nodes survive the pruning bound, given their ``Erec``
+        and their id-list lengths."""
+        if self.pruning == "support":
+            return sizes >= params.min_ps * params.min_rec
+        return erec >= params.min_rec
+
     @staticmethod
     def _run_csr(run_node: np.ndarray, n_nodes: int) -> np.ndarray:
         """CSR pointer over runs grouped by (nondecreasing) node id."""
@@ -509,9 +540,9 @@ class RPEclatVec:
         """Which of ``suffix``'s ids the node's list also contains.
 
         The dense scratch bitmap is O(2·|node| + |suffix|) with tiny
-        constants; when the node's list dwarfs the suffix a binary
-        search over it is cheaper (crossover measured in
-        ``benchmarks/bench_kernel.py``).
+        constants; when the node's list is more than four times the
+        suffix a binary search over it is cheaper.  The factor is a
+        fixed constant, not a measured crossover.
         """
         if node_idx.size > 4 * suffix.size:
             pos = np.searchsorted(node_idx, suffix)

@@ -17,13 +17,12 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from repro._validation import Number
-from repro.core.intervals import estimated_recurrence
+from repro.core.intervals import estimated_recurrence, intersect_sorted
 from repro.core.model import (
     MiningParameters,
     RecurringPattern,
     RecurringPatternSet,
 )
-from repro.core.rp_eclat import intersect_sorted
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.events import Item
 

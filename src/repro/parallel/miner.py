@@ -130,13 +130,9 @@ class ParallelMiner:
         (Windows, macOS defaults); both work because worker state
         travels through the pool initializer, never through globals
         that only exist in the parent.
-    pruning, max_length, item_order:
-        Forwarded to the engine's registry factory (``pruning`` to
-        RP-eclat, ``item_order`` to RP-growth's tree build).
-    retry_backoff:
-        Base delay in seconds before the first retry of a chunk
-        (doubles per retry, deterministic jitter added; ``0`` retries
-        immediately).
+    max_length, item_order:
+        Forwarded to the engine's registry factory (``item_order`` to
+        RP-growth's tree build).
     resilience:
         A :class:`~repro.core.options.ResilienceOptions` — the same
         object the façade and the sweep engine accept:
@@ -182,10 +178,8 @@ class ParallelMiner:
         jobs: Optional[int] = None,
         chunks_per_job: int = 4,
         mp_context: Union[str, object, None] = None,
-        pruning: str = "erec",
         max_length: Optional[int] = None,
         item_order: str = "support-desc",
-        retry_backoff: float = 0.05,
         resilience: Optional[ResilienceOptions] = None,
         supervised: bool = True,
         monitor=None,
@@ -211,14 +205,11 @@ class ParallelMiner:
         self.jobs = jobs
         self.chunks_per_job = chunks_per_job
         self.mp_context = mp_context
-        self.pruning = pruning
         self.max_length = max_length
         self.item_order = item_order
-        # Validates the backoff eagerly.
         self.retry_policy = RetryPolicy(
             timeout=resilience.timeout,
             max_retries=resilience.max_retries,
-            backoff=retry_backoff,
         )
         self.fallback = resilience.fallback
         self.fault_plan = resilience.fault_plan
@@ -410,7 +401,6 @@ class ParallelMiner:
             params,
             {
                 "item_order": self.item_order,
-                "pruning": self.pruning,
                 "max_length": self.max_length,
             },
         )

@@ -97,7 +97,7 @@ class RetryPolicy:
     backoff:
         Base delay before the first retry; doubles per subsequent
         retry of the same chunk (``backoff * 2**(n-1)``), capped at
-        ``max_delay``.  ``0`` retries immediately (used by tests).
+        ``max_delay``.  ``0`` retries immediately.
     max_delay:
         Upper bound on any single backoff delay.
     jitter:

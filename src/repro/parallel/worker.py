@@ -47,7 +47,7 @@ class EngineRecipe(NamedTuple):
     engine: str
     #: The thresholds (resolved ones in the workers).
     params: Union[MiningParameters, ResolvedParameters]
-    #: Factory options (``item_order``, ``pruning``, ``max_length``).
+    #: Factory options (``item_order``, ``max_length``).
     options: dict
 
     def build(self, context: object = None):

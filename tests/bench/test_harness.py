@@ -54,7 +54,7 @@ class TestCountSweep:
             running_example, "toy", [2], [3], [2], engine="rp-growth"
         )
         eclat = sweep_pattern_counts(
-            running_example, "toy", [2], [3], [2], engine="rp-eclat"
+            running_example, "toy", [2], [3], [2], engine="rp-eclat-vec"
         )
         assert growth.cells == eclat.cells
 

@@ -52,6 +52,6 @@ class TestTwitter:
 
         db = twitter_workload(0.1)
         found = mine_recurring_patterns(
-            db, per=360, min_ps=30, min_rec=1, engine="rp-eclat"
+            db, per=360, min_ps=30, min_rec=1, engine="rp-eclat-vec"
         )
         assert found.get(["nuclear", "hibaku"]) is not None

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from typing import List, Tuple
 
 import pytest
 from hypothesis import strategies as st
 
+from repro.core.intervals import estimated_recurrence
 from repro.datasets import (
     generate_planted_workload,
     paper_running_example,
@@ -112,3 +114,34 @@ def point_sequences(draw, max_size: int = 40) -> List[int]:
             )
         )
     )
+
+
+def bound_passing_itemsets(
+    db: TransactionalDatabase,
+    per: int,
+    min_ps: int,
+    min_rec: int,
+    pruning: str,
+) -> int:
+    """How many occurring itemsets pass a pruning bound, by definition.
+
+    ``"erec"`` counts those with ``Erec(TS^X) >= min_rec``; ``"support"``
+    those with ``|TS^X| >= min_ps * min_rec``.  Both bounds are
+    anti-monotone, so this is the number of lattice nodes a pruning
+    engine without a length cap must expand (``candidate_patterns``).
+    Thresholds are absolute counts, as :func:`mining_parameters` draws.
+    """
+    occurring = {
+        frozenset(combo)
+        for _, items in db
+        for size in range(1, len(items) + 1)
+        for combo in combinations(sorted(items), size)
+    }
+    count = 0
+    for itemset in occurring:
+        ts = db.timestamps_of(itemset)
+        if pruning == "erec":
+            count += estimated_recurrence(ts, per, min_ps) >= min_rec
+        else:
+            count += len(ts) >= min_ps * min_rec
+    return count

@@ -3,12 +3,11 @@
 The batched ``rp-eclat-vec`` engine is only trustworthy because every
 one of its primitives is byte-identical to a slow, obviously-correct
 counterpart: ``segmented_interval_stats`` to the per-sequence interval
-functions of :mod:`repro.core.intervals`, ``intersect_arrays`` (both
-the bitmap and the sort-merge path) to
-:func:`repro.core.rp_eclat.intersect_sorted`, and the whole engine to
-``rp-growth`` / ``rp-eclat`` on random databases.  ``as_timestamp_array``
-must refuse — not silently corrupt — timestamps the int64/float64
-column cannot represent exactly.
+functions of :mod:`repro.core.intervals`, and the whole engine to
+``rp-growth`` and to a definitional count of the lattice nodes it must
+visit on random databases.  ``as_timestamp_array`` must refuse — not
+silently corrupt — timestamps the int64/float64 column cannot represent
+exactly.
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 from repro.core.accel import (
     INT64_SAFE_BOUND,
     as_timestamp_array,
-    intersect_arrays,
     segmented_interval_stats,
 )
 from repro.core.intervals import (
@@ -27,11 +25,15 @@ from repro.core.intervals import (
     interesting_intervals,
     recurrence,
 )
-from repro.core.rp_eclat import RPEclat, intersect_sorted
 from repro.core.rp_eclat_vec import RPEclatVec
 from repro.core.rp_growth import RPGrowth
 from repro.exceptions import ParameterError
-from tests.conftest import mining_parameters, point_sequences, small_databases
+from tests.conftest import (
+    bound_passing_itemsets,
+    mining_parameters,
+    point_sequences,
+    small_databases,
+)
 
 RELAXED = settings(
     max_examples=60,
@@ -141,42 +143,6 @@ class TestSegmentedIntervalStats:
 
 
 # ----------------------------------------------------------------------
-# intersect_arrays vs intersect_sorted
-# ----------------------------------------------------------------------
-class TestIntersectArrays:
-    @RELAXED
-    @given(
-        left=point_sequences(max_size=25),
-        right=point_sequences(max_size=25),
-    )
-    def test_sort_merge_path_matches_python(self, left, right):
-        result = intersect_arrays(np.asarray(left), np.asarray(right))
-        assert result.tolist() == intersect_sorted(left, right)
-
-    @RELAXED
-    @given(
-        left=point_sequences(max_size=25),
-        right=point_sequences(max_size=25),
-    )
-    def test_bitmap_path_matches_python(self, left, right):
-        # universe=201 covers the strategy's 0..200 value range; any
-        # non-trivial operands cross the density threshold (201 >> 3).
-        result = intersect_arrays(
-            np.asarray(left, dtype=np.int64),
-            np.asarray(right, dtype=np.int64),
-            universe=201,
-        )
-        assert result.tolist() == intersect_sorted(left, right)
-
-    def test_bitmap_needs_integer_operands(self):
-        # Float operands must fall back to sort-merge, never index.
-        result = intersect_arrays(
-            np.array([0.5, 2.5]), np.array([2.5, 3.5]), universe=4
-        )
-        assert result.tolist() == [2.5]
-
-
-# ----------------------------------------------------------------------
 # as_timestamp_array dtype selection and overflow guards
 # ----------------------------------------------------------------------
 class TestAsTimestampArray:
@@ -224,14 +190,13 @@ class TestAsTimestampArray:
 class TestVecEngineEquivalence:
     @RELAXED
     @given(db=small_databases(), params=mining_parameters())
-    def test_vec_equals_rp_growth_and_rp_eclat(self, db, params):
+    def test_vec_equals_rp_growth(self, db, params):
         per, min_ps, min_rec = params
-        reference = RPGrowth(per, min_ps, min_rec).mine(db)
-        eclat = RPEclat(per, min_ps, min_rec)
+        growth = RPGrowth(per, min_ps, min_rec)
         vec = RPEclatVec(per, min_ps, min_rec)
-        assert list(vec.mine(db)) == list(reference) == list(eclat.mine(db))
-        # The Erec lattice is order-independent, so the vec engine
-        # visits exactly rp-eclat's candidate set.
+        assert list(vec.mine(db)) == list(growth.mine(db))
+        # The Erec lattice is order-independent, so both engines visit
+        # exactly the occurring itemsets whose Erec reaches min_rec.
         for counter in (
             "patterns_found",
             "candidate_patterns",
@@ -240,8 +205,11 @@ class TestVecEngineEquivalence:
             "pruned_items",
         ):
             assert getattr(vec.last_stats, counter) == getattr(
-                eclat.last_stats, counter
+                growth.last_stats, counter
             ), counter
+        assert vec.last_stats.candidate_patterns == bound_passing_itemsets(
+            db, per, min_ps, min_rec, "erec"
+        )
 
     @RELAXED
     @given(
@@ -249,9 +217,9 @@ class TestVecEngineEquivalence:
         params=mining_parameters(),
         max_length=st.integers(1, 3),
     )
-    def test_max_length_matches_rp_eclat(self, db, params, max_length):
+    def test_max_length_matches_rp_growth(self, db, params, max_length):
         per, min_ps, min_rec = params
-        reference = RPEclat(
+        reference = RPGrowth(
             per, min_ps, min_rec, max_length=max_length
         ).mine(db)
         vec = RPEclatVec(per, min_ps, min_rec, max_length=max_length)

@@ -16,11 +16,9 @@ from repro.exceptions import ParameterError
 
 class TestRegistry:
     def test_builtin_engines_in_order(self):
-        assert engine_names() == (
-            "rp-growth", "rp-eclat", "rp-eclat-vec", "naive"
-        )
+        assert engine_names() == ("rp-growth", "rp-eclat-vec", "naive")
         assert engine_names(supports_jobs=True) == (
-            "rp-growth", "rp-eclat", "rp-eclat-vec"
+            "rp-growth", "rp-eclat-vec"
         )
         assert engine_names(supports_jobs=False) == ("naive",)
 
@@ -114,11 +112,11 @@ class TestCapabilityDrivenDispatch:
         """Regression: pool workers used to build their engine from a
         hard-coded name list, so a vertical engine registered with
         supports_jobs ran the wrong engine (and crashed) at jobs=2."""
-        from repro.core.rp_eclat import RPEclat
+        from repro.core.rp_eclat_vec import RPEclatVec
 
         register_engine(
             "test-eclat-singletons",
-            lambda per, min_ps, min_rec, **_: RPEclat(
+            lambda per, min_ps, min_rec, **_: RPEclatVec(
                 per, min_ps, min_rec, max_length=1
             ),
             supports_jobs=True,

@@ -8,6 +8,7 @@ from repro.core.intervals import (
     estimated_recurrence,
     inter_arrival_times,
     interesting_intervals,
+    intersect_sorted,
     periodic_intervals,
     periodic_supports,
     recurrence,
@@ -30,6 +31,24 @@ class TestInterArrivalTimes:
 
     def test_floats(self):
         assert inter_arrival_times([0.5, 2.0]) == (1.5,)
+
+
+class TestIntersectSorted:
+    def test_basic(self):
+        assert intersect_sorted([1, 3, 5, 7], [3, 4, 7, 9]) == [3, 7]
+
+    def test_disjoint(self):
+        assert intersect_sorted([1, 2], [3, 4]) == []
+
+    def test_empty_sides(self):
+        assert intersect_sorted([], [1]) == []
+        assert intersect_sorted([1], []) == []
+
+    def test_identical(self):
+        assert intersect_sorted([1, 2, 3], [1, 2, 3]) == [1, 2, 3]
+
+    def test_floats(self):
+        assert intersect_sorted([0.5, 1.5], [1.5, 2.5]) == [1.5]
 
 
 class TestPeriodicIntervals:

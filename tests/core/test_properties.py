@@ -1,9 +1,9 @@
 """Property-based cross-engine and model-invariant tests.
 
-The three engines — RP-growth (tree), RP-eclat (vertical) and the
-exhaustive reference — implement the same model through very different
-machinery; agreement on random inputs is the strongest correctness
-evidence the suite has.
+The three engines — RP-growth (tree), the batched vertical engine and
+the exhaustive reference — implement the same model through very
+different machinery; agreement on random inputs is the strongest
+correctness evidence the suite has.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -11,9 +11,13 @@ from hypothesis import strategies as st
 
 from repro.core.intervals import recurrence
 from repro.core.naive import mine_recurring_patterns_naive
-from repro.core.rp_eclat import RPEclat
+from repro.core.rp_eclat_vec import RPEclatVec
 from repro.core.rp_growth import RPGrowth
-from tests.conftest import mining_parameters, small_databases
+from tests.conftest import (
+    bound_passing_itemsets,
+    mining_parameters,
+    small_databases,
+)
 
 RELAXED = settings(
     max_examples=60,
@@ -33,19 +37,24 @@ class TestCrossEngineEquivalence:
 
     @RELAXED
     @given(db=small_databases(), params=mining_parameters())
-    def test_rp_eclat_equals_naive(self, db, params):
+    def test_rp_eclat_vec_equals_naive(self, db, params):
         per, min_ps, min_rec = params
-        eclat = RPEclat(per, min_ps, min_rec).mine(db)
+        vec = RPEclatVec(per, min_ps, min_rec).mine(db)
         naive = mine_recurring_patterns_naive(db, per, min_ps, min_rec)
-        assert eclat == naive
+        assert vec == naive
 
     @RELAXED
     @given(db=small_databases(), params=mining_parameters())
     def test_support_pruning_equals_erec_pruning(self, db, params):
         per, min_ps, min_rec = params
-        strong = RPEclat(per, min_ps, min_rec, pruning="erec").mine(db)
-        weak = RPEclat(per, min_ps, min_rec, pruning="support").mine(db)
-        assert strong == weak
+        strong = RPEclatVec(per, min_ps, min_rec, pruning="erec")
+        weak = RPEclatVec(per, min_ps, min_rec, pruning="support")
+        assert strong.mine(db) == weak.mine(db)
+        # Each bound expands exactly the occurring itemsets it keeps.
+        for miner in (strong, weak):
+            assert miner.last_stats.candidate_patterns == (
+                bound_passing_itemsets(db, per, min_ps, min_rec, miner.pruning)
+            ), miner.pruning
 
 
 class TestOutputInvariants:

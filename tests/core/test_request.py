@@ -145,7 +145,7 @@ class TestCacheKeys:
 
     def test_keys_separate_engines_and_datasets(self):
         a = MiningRequest(per=2, min_ps=3, engine="rp-growth")
-        b = MiningRequest(per=2, min_ps=3, engine="rp-eclat")
+        b = MiningRequest(per=2, min_ps=3, engine="rp-eclat-vec")
         assert a.column_key("d1") != b.column_key("d1")
         assert a.column_key("d1") != a.column_key("d2")
 
@@ -159,7 +159,7 @@ class TestWireFormat:
             per=2.5,
             min_ps=0.02,
             min_rec=3,
-            engine="rp-eclat",
+            engine="rp-eclat-vec",
             jobs=2,
             shards=4,
             resilience=ResilienceOptions(timeout=9.0, max_retries=1),

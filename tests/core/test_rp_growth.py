@@ -157,10 +157,10 @@ class TestMaxLength:
         assert capped.itemsets() == expected
 
     def test_engines_agree_under_cap(self, running_example):
-        from repro.core.rp_eclat import RPEclat
+        from repro.core.rp_eclat_vec import RPEclatVec
 
         growth = RPGrowth(2, 3, 2, max_length=1).mine(running_example)
-        eclat = RPEclat(2, 3, 2, max_length=1).mine(running_example)
+        eclat = RPEclatVec(2, 3, 2, max_length=1).mine(running_example)
         assert growth == eclat
 
     def test_rejects_bad_max_length(self):

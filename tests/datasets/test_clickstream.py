@@ -61,7 +61,7 @@ class TestPromotions:
     def test_promo_pair_is_recurring(self):
         db = generate_clickstream(self.CONFIG)
         found = mine_recurring_patterns(
-            db, per=MINUTES_PER_DAY, min_ps=50, min_rec=2, engine="rp-eclat"
+            db, per=MINUTES_PER_DAY, min_ps=50, min_rec=2, engine="rp-eclat-vec"
         )
         promo = found.get(["c20", "c21"])
         assert promo is not None

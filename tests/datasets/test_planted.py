@@ -24,7 +24,7 @@ class TestPlantedBurst:
 
 
 class TestGroundTruthRecovery:
-    @pytest.mark.parametrize("engine", ["rp-growth", "rp-eclat"])
+    @pytest.mark.parametrize("engine", ["rp-growth", "rp-eclat-vec"])
     def test_exact_recovery(self, engine):
         workload = generate_planted_workload(seed=7)
         found = mine_recurring_patterns(

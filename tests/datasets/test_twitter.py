@@ -55,7 +55,7 @@ class TestBursts:
     def test_burst_pair_is_recurring_with_two_intervals(self):
         db = generate_twitter(self.CONFIG)
         found = mine_recurring_patterns(
-            db, per=360, min_ps=50, min_rec=2, engine="rp-eclat"
+            db, per=360, min_ps=50, min_rec=2, engine="rp-eclat-vec"
         )
         burst = found.get(["flood", "rescue"])
         assert burst is not None

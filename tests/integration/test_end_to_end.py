@@ -6,11 +6,11 @@ import pytest
 
 from repro import (
     EventSequence,
-    RPEclat,
     RPGrowth,
     TransactionalDatabase,
     mine_recurring_patterns,
 )
+from repro.core.rp_eclat_vec import RPEclatVec
 from repro.datasets import (
     generate_clickstream,
     generate_planted_workload,
@@ -68,7 +68,7 @@ class TestRealisticWorkloads:
             )
         )
         found = mine_recurring_patterns(
-            db, per=MINUTES_PER_DAY, min_ps=40, min_rec=2, engine="rp-eclat"
+            db, per=MINUTES_PER_DAY, min_ps=40, min_rec=2, engine="rp-eclat-vec"
         )
         promo = found.get(["c120", "c121"])
         assert promo is not None
@@ -96,7 +96,7 @@ class TestRealisticWorkloads:
             )
         )
         recurring = mine_recurring_patterns(
-            db, per=60, min_ps=100, min_rec=1, engine="rp-eclat"
+            db, per=60, min_ps=100, min_rec=1, engine="rp-eclat-vec"
         )
         assert ["rare_event"] in recurring
         p_patterns = mine_p_patterns(db, per=60, min_sup=100)
@@ -106,7 +106,7 @@ class TestRealisticWorkloads:
     def test_engines_agree_on_realistic_data(self):
         db = generate_twitter(TwitterConfig(days=6, n_hashtags=60, seed=5))
         growth = RPGrowth(per=360, min_ps=30, min_rec=1).mine(db)
-        eclat = RPEclat(per=360, min_ps=30, min_rec=1).mine(db)
+        eclat = RPEclatVec(per=360, min_ps=30, min_rec=1).mine(db)
         assert growth == eclat
 
 

@@ -145,7 +145,7 @@ class TestRendering:
 
     def test_render_comparison_deltas(self):
         a = analyze_trace(_run_trace("rp-growth"))
-        b = analyze_trace(_run_trace("rp-eclat"))
+        b = analyze_trace(_run_trace("rp-eclat-vec"))
         text = render_comparison(a, b, label_a="growth",
                                  label_b="eclat")
         assert "growth (s)" in text and "eclat (s)" in text

@@ -31,7 +31,7 @@ class TestMineJobs:
     def test_jobs_with_engine_flag(self, example_file, capsys):
         code = main([
             "mine", "--input", example_file, *BASE,
-            "--engine", "rp-eclat", "--jobs", "2",
+            "--engine", "rp-eclat-vec", "--jobs", "2",
         ])
         assert code == 0
         assert "8 recurring patterns" in capsys.readouterr().out

@@ -85,7 +85,7 @@ def test_fault_matrix_recovers_serial_result(engine, kind):
         timeout=1.0 if kind == "hang" else None, fault_plan=plan
     )
     miner, recovered = _mine(
-        engine, database, jobs=2, retry_backoff=0.0, resilience=resilience
+        engine, database, jobs=2, resilience=resilience
     )
 
     _assert_identical(serial, recovered)
@@ -109,7 +109,7 @@ def test_multi_chunk_crash_still_matches_serial(engine):
     database = paper_running_example()
     serial_miner, serial = _mine(engine, database, jobs=1)
     miner, recovered = _mine(
-        engine, database, jobs=2, retry_backoff=0.0,
+        engine, database, jobs=2,
         resilience=ResilienceOptions(
             fault_plan=FaultPlan.single("crash", chunk=0)
         ),
@@ -132,7 +132,7 @@ def test_persistent_poison_falls_back_to_serial(engine):
     database = _single_chunk_db()
     serial_miner, serial = _mine(engine, database, jobs=1)
     miner, recovered = _mine(
-        engine, database, jobs=2, retry_backoff=0.0,
+        engine, database, jobs=2,
         resilience=ResilienceOptions(
             max_retries=1,
             fault_plan=FaultPlan.single("poison", chunk=0, execution=None),
@@ -157,7 +157,7 @@ def test_persistent_crash_falls_back_to_serial(engine):
     database = _single_chunk_db()
     _, serial = _mine(engine, database, jobs=1)
     miner, recovered = _mine(
-        engine, database, jobs=2, retry_backoff=0.0,
+        engine, database, jobs=2,
         resilience=ResilienceOptions(
             max_retries=1,
             fault_plan=FaultPlan.single("crash", chunk=0, execution=None),
@@ -180,7 +180,7 @@ def test_raise_mode_names_prefixes_and_keeps_partial(engine):
     too, whose header items are roots like the vertical engines'."""
     database = _single_chunk_db()
     miner = ParallelMiner(
-        engine=engine, **PARAMS, jobs=2, retry_backoff=0.0,
+        engine=engine, **PARAMS, jobs=2,
         resilience=ResilienceOptions(
             max_retries=0,
             fallback="raise",
@@ -202,7 +202,7 @@ def test_raise_mode_names_prefixes_and_keeps_partial(engine):
 def test_retry_spans_graft_under_mine():
     database = _single_chunk_db()
     _, telemetry = mine_recurring_patterns(
-        database, engine="rp-eclat", **PARAMS, jobs=2,
+        database, engine="rp-eclat-vec", **PARAMS, jobs=2,
         resilience=ResilienceOptions(
             fault_plan=FaultPlan.single("poison", chunk=0)
         ),
@@ -223,7 +223,7 @@ def test_retry_spans_graft_under_mine():
 def test_run_record_carries_faults_section():
     database = _single_chunk_db()
     _, telemetry = mine_recurring_patterns(
-        database, engine="rp-eclat", **PARAMS, jobs=2,
+        database, engine="rp-eclat-vec", **PARAMS, jobs=2,
         resilience=ResilienceOptions(
             fault_plan=FaultPlan.single("poison", chunk=0)
         ),
@@ -248,7 +248,7 @@ def test_run_record_carries_faults_section():
 def test_clean_run_has_no_faults_section():
     database = _single_chunk_db()
     _, telemetry = mine_recurring_patterns(
-        database, engine="rp-eclat", **PARAMS, jobs=2,
+        database, engine="rp-eclat-vec", **PARAMS, jobs=2,
         observability=ObservabilityOptions(collect_stats=True),
     )
     record = telemetry.as_run_record()

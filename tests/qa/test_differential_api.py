@@ -50,7 +50,7 @@ def test_canonical_is_order_independent():
 
 
 def test_mine_canonical_matches_oracle_on_running_example():
-    for engine in ("rp-growth", "rp-eclat", "rp-eclat-vec"):
+    for engine in ("rp-growth", "rp-eclat-vec"):
         assert mine_canonical(RUNNING_EXAMPLE_ROWS, PARAMS, engine) == \
             oracle_canonical(RUNNING_EXAMPLE_ROWS, PARAMS)
 
@@ -99,10 +99,10 @@ def test_minimize_case_does_not_mutate_input():
 
 
 def test_format_reproducer_is_paste_ready():
-    text = format_reproducer([(1, "ab")], PARAMS, "rp-eclat", 2)
+    text = format_reproducer([(1, "ab")], PARAMS, "rp-eclat-vec", 2)
     assert "TransactionalDatabase" in text
     assert "mine_recurring_patterns" in text
-    assert "engine='rp-eclat'" in text and "jobs=2" in text
+    assert "engine='rp-eclat-vec'" in text and "jobs=2" in text
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +114,7 @@ def test_check_case_clean_on_running_example():
         jobs_values=(1, 2),
     )
     assert failures == []
-    assert checks == 6  # three pruning engines x two jobs levels
+    assert checks == 4  # two pruning engines x two jobs levels
 
 
 def test_check_case_skips_empty_database():
@@ -126,7 +126,7 @@ def test_run_differential_small_sweep_passes():
     result = run_differential(n_cases=5, base_seed=BASE_SEED)
     assert result.passed
     assert result.cases == 5
-    assert result.checks >= 3 * (5 - result.skipped_empty)
+    assert result.checks >= 2 * (5 - result.skipped_empty)
 
 
 def test_run_differential_deadline_stops_cleanly():
@@ -136,7 +136,7 @@ def test_run_differential_deadline_stops_cleanly():
 
 def test_failure_report_names_seed_and_reproducer():
     failure = DifferentialFailure(
-        seed=123, engine="rp-eclat", jobs=1, params=PARAMS,
+        seed=123, engine="rp-eclat-vec", jobs=1, params=PARAMS,
         rows=((1, ("a",)),), minimized_rows=((1, ("a",)),),
         oracle=(), got=((("a",), 1, 1, ()),),
     )

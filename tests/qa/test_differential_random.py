@@ -33,8 +33,8 @@ from repro.timeseries.database import TransactionalDatabase
 
 pytestmark = pytest.mark.slow
 
-#: Differential cases per run; each case checks the oracle against all
-#: three pruning engines (serial), and every 7th case additionally
+#: Differential cases per run; each case checks the oracle against
+#: every pruning engine (serial), and every 7th case additionally
 #: re-checks the engines under jobs=2.
 N_CASES = 50
 

@@ -61,7 +61,6 @@ def test_get_relation_round_trips_and_rejects_unknown():
 def test_engine_matrix_covers_all_engines_naive_serial_only():
     assert set(MATRIX) == {
         ("rp-growth", 1), ("rp-growth", 2),
-        ("rp-eclat", 1), ("rp-eclat", 2),
         ("rp-eclat-vec", 1), ("rp-eclat-vec", 2),
         ("naive", 1),
     }
@@ -182,7 +181,7 @@ def test_run_relations_collects_violations_of_a_broken_relation():
     result = run_relations(
         cases=[running_example_case()],
         relations=[broken],
-        engines=("rp-growth", "rp-eclat"),
+        engines=("rp-growth", "rp-eclat-vec"),
         jobs_values=(1,),
         minimize=False,
     )

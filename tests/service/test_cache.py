@@ -112,7 +112,7 @@ def test_no_cross_contamination(running_example):
     # Different digest, engine, per or min_ps: all misses.
     assert cache.get(request, "other-digest") is None
     for other in (
-        MiningRequest(per=2, min_ps=3, min_rec=2, engine="rp-eclat"),
+        MiningRequest(per=2, min_ps=3, min_rec=2, engine="rp-eclat-vec"),
         MiningRequest(per=3, min_ps=3, min_rec=2),
         MiningRequest(per=2, min_ps=4, min_rec=2),
     ):

@@ -30,7 +30,7 @@ class TestMine:
         code = main([
             "mine", "--input", example_file,
             "--per", "2", "--min-ps", "3", "--min-rec", "2",
-            "--engine", "rp-eclat",
+            "--engine", "rp-eclat-vec",
         ])
         assert code == 0
         assert "8 recurring patterns" in capsys.readouterr().out

@@ -85,7 +85,7 @@ class TestMineProfile:
         assert code == 0
         assert "peak mem" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("engine", ["rp-eclat", "rp-eclat-vec", "naive"])
+    @pytest.mark.parametrize("engine", ["rp-eclat-vec", "naive"])
     def test_every_engine_supports_profiling(
         self, example_file, tmp_path, capsys, engine
     ):
