@@ -15,12 +15,22 @@ byte-identical to a fresh local mine — caching that changed an answer
 would be a bug, not a speedup.  The median warm/cold ratio is recorded
 to ``BENCH_service.json`` (a ``repro-bench/v1`` envelope embedding the
 service's final metrics snapshot) and **gated at ≥2×**.  The gate is
-conservative: a warm hit pays dataset load + digest + HTTP, a cold miss
-pays all of that plus the mine, and at this workload's thresholds the
-mine alone is several times the rest.
+conservative: a warm hit pays reading and hashing the file's bytes +
+HTTP, a cold miss pays that plus the parse, the digest and the mine, and
+at this workload's thresholds the mine alone is several times the rest.
+
+A second test checks that a hit never parses: at 1× and 10× the Quest
+input (scale 0.2 and 2.0) the daemon's own ``seconds`` for an exact hit
+is recorded next to one parse of the same file timed here, to
+``BENCH_service_hit.json``.  The median 10× hit must cost at most
+**5%** of the 10× parse.  The 10×/1× hit ratio is recorded but not
+gated: reading and hashing the bytes is O(bytes) too, only a small one.
+The 10× miss that fills the cache mines 200k transactions with the
+columnar kernel, so this test peaks at about 2 GB of RSS.
 """
 
 import asyncio
+import contextlib
 import io
 import json
 import os
@@ -35,7 +45,10 @@ from repro.bench.workloads import quest_workload
 from repro.core.request import DatasetRef, MiningRequest
 from repro.patterns_io import save_patterns
 from repro.service import MiningService, ServiceClient
-from repro.timeseries.io import save_transactional_database
+from repro.timeseries.io import (
+    load_transactional_database,
+    save_transactional_database,
+)
 
 SCALE = 0.05
 PERS = (360, 720, 1440)
@@ -46,6 +59,54 @@ WARM_REPEATS = 3
 MIN_SPEEDUP = 2.0
 
 BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_service.json"
+
+#: The hit-cost bench: the 1x and 10x Quest inputs, mined at the
+#: perfbench service thresholds.
+HIT_SCALES = (0.2, 2.0)
+HIT_PER = 360
+HIT_ENGINE = "rp-eclat-vec"
+HIT_REPEATS = 5
+#: The hit gate: a 10x hit may cost at most this share of one 10x parse.
+MAX_HIT_SHARE_OF_PARSE = 0.05
+
+HIT_BENCH_PATH = (
+    pathlib.Path(__file__).parent.parent / "BENCH_service_hit.json"
+)
+
+
+def _hardware():
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "platform": os.uname().sysname if hasattr(os, "uname") else "?",
+    }
+
+
+@contextlib.contextmanager
+def _running_service(**kwargs):
+    """A live service on an ephemeral port, stopped on exit."""
+    service = MiningService(port=0, **kwargs)
+    ready = threading.Event()
+    state = {}
+
+    def run():
+        async def main():
+            state["loop"] = asyncio.get_running_loop()
+            state["stop"] = asyncio.Event()
+            await service.start()
+            ready.set()
+            await state["stop"].wait()
+            await service.stop()
+
+        asyncio.run(main())
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    assert ready.wait(10), "service failed to start"
+    try:
+        yield service
+    finally:
+        state["loop"].call_soon_threadsafe(state["stop"].set)
+        thread.join(30)
 
 
 def _serve_one(client: ServiceClient, request: MiningRequest):
@@ -68,25 +129,7 @@ def test_service_cache_speedup(record_artifact, tmp_path_factory):
         for per in PERS
     ]
 
-    service = MiningService(port=0, workers=1, cache_size=16)
-    ready = threading.Event()
-    state = {}
-
-    def run():
-        async def main():
-            state["loop"] = asyncio.get_running_loop()
-            state["stop"] = asyncio.Event()
-            await service.start()
-            ready.set()
-            await state["stop"].wait()
-            await service.stop()
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10), "service failed to start"
-    try:
+    with _running_service(workers=1, cache_size=16) as service:
         client = ServiceClient(port=service.port)
 
         cold_seconds, cold_results = [], {}
@@ -122,9 +165,6 @@ def test_service_cache_speedup(record_artifact, tmp_path_factory):
         assert derived["patterns_tsv"] == buffer.getvalue()
 
         snapshot = service.registry.snapshot()
-    finally:
-        state["loop"].call_soon_threadsafe(state["stop"].set)
-        thread.join(30)
 
     cold_median = statistics.median(cold_seconds)
     warm_median = statistics.median(warm_seconds)
@@ -157,10 +197,7 @@ def test_service_cache_speedup(record_artifact, tmp_path_factory):
             "scale": SCALE,
             "warm_repeats": WARM_REPEATS,
         },
-        "hardware": {
-            "cpu_count": os.cpu_count() or 1,
-            "platform": os.uname().sysname if hasattr(os, "uname") else "?",
-        },
+        "hardware": _hardware(),
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "cold_median_seconds": cold_median,
@@ -176,4 +213,94 @@ def test_service_cache_speedup(record_artifact, tmp_path_factory):
     assert speedup >= MIN_SPEEDUP, (
         f"service cache gate failed: {speedup:.2f}x < {MIN_SPEEDUP}x "
         f"(cold {cold_median:.3f}s, warm {warm_median:.3f}s)"
+    )
+
+
+def _hit_cost(path: pathlib.Path) -> dict:
+    """One parse of ``path`` timed here, then the daemon's hit seconds."""
+    started = time.perf_counter()
+    load_transactional_database(str(path))
+    parse_seconds = time.perf_counter() - started
+    request = MiningRequest(
+        per=HIT_PER,
+        min_ps=MIN_PS,
+        engine=HIT_ENGINE,
+        source=DatasetRef.file(str(path)),
+    )
+    with _running_service(workers=1, cache_size=16) as service:
+        client = ServiceClient(port=service.port)
+        hit_seconds = []
+        for attempt in range(1 + HIT_REPEATS):
+            job_id = client.submit(request)
+            status = client.wait(job_id, timeout=600, interval=0.01)
+            assert status["status"] == "done", status
+            assert status["cache"] == ("miss" if attempt == 0 else "hit")
+            if attempt:
+                hit_seconds.append(status["seconds"])
+    return {
+        "bytes": path.stat().st_size,
+        "parse_seconds": parse_seconds,
+        "hit_seconds": hit_seconds,
+        "hit_median_seconds": statistics.median(hit_seconds),
+    }
+
+
+def test_service_hit_does_not_parse(record_artifact, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("service_hit")
+    scales = {}
+    for scale in HIT_SCALES:
+        path = directory / f"quest-{scale:g}.tsv"
+        save_transactional_database(quest_workload(scale), str(path))
+        scales[scale] = _hit_cost(path)
+        path.unlink()
+
+    small, large = (scales[scale] for scale in HIT_SCALES)
+    share = large["hit_median_seconds"] / large["parse_seconds"]
+    growth = large["hit_median_seconds"] / small["hit_median_seconds"]
+
+    record_artifact(
+        "service_hit",
+        format_table(
+            ["quest scale", "bytes", "parse seconds", "median hit seconds",
+             "hit / parse"],
+            [
+                (f"{scale:g}", row["bytes"], f"{row['parse_seconds']:.3f}",
+                 f"{row['hit_median_seconds']:.4f}",
+                 f"{row['hit_median_seconds'] / row['parse_seconds']:.2%}")
+                for scale, row in scales.items()
+            ],
+            title=(
+                f"Service cache hit vs one parse ({HIT_ENGINE}, "
+                f"per={HIT_PER}, minPS={MIN_PS}; hit {HIT_SCALES[1]:g} / "
+                f"{HIT_SCALES[0]:g} = {growth:.2f}x)"
+            ),
+        ),
+    )
+
+    payload = {
+        "schema": "repro-bench/v1",
+        "benchmark": "service_hit",
+        "created_unix": time.time(),
+        "params": {
+            "scales": list(HIT_SCALES),
+            "per": HIT_PER,
+            "min_ps": MIN_PS,
+            "engine": HIT_ENGINE,
+            "hit_repeats": HIT_REPEATS,
+        },
+        "hardware": _hardware(),
+        "scales": {f"{scale:g}": row for scale, row in scales.items()},
+        "hit_share_of_parse": share,
+        "max_hit_share_of_parse_gate": MAX_HIT_SHARE_OF_PARSE,
+        "hit_growth_ratio": growth,
+    }
+    HIT_BENCH_PATH.write_text(
+        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
+    )
+
+    assert share <= MAX_HIT_SHARE_OF_PARSE, (
+        f"service hit gate failed: a {HIT_SCALES[1]:g} hit took "
+        f"{large['hit_median_seconds']:.4f}s, {share:.1%} of one "
+        f"{large['parse_seconds']:.3f}s parse "
+        f"(> {MAX_HIT_SHARE_OF_PARSE:.0%})"
     )

@@ -27,6 +27,7 @@ looser cached cell answer tighter queries.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple, Union
 
@@ -116,8 +117,13 @@ class DatasetRef:
                 canonical.append((ts, tuple(items)))
             object.__setattr__(self, "rows", tuple(canonical))
         elif self.kind == "file":
-            if not self.path:
-                raise ParameterError("file dataset ref requires a path")
+            # A non-string path would reach open(), which reads an int
+            # (or a bool) as a file descriptor and closes it afterwards.
+            if not isinstance(self.path, str) or not self.path:
+                raise ParameterError(
+                    "file dataset ref requires a path (a non-empty "
+                    f"string), got {self.path!r}"
+                )
         else:
             if not self.workload:
                 raise ParameterError(
@@ -159,14 +165,29 @@ class DatasetRef:
             return str(self.path)
         return f"{self.workload}-{self.scale:g}"
 
-    def load(self) -> TransactionalDatabase:
-        """Materialise the referenced database."""
+    def load(self, data: Optional[bytes] = None) -> TransactionalDatabase:
+        """Materialise the referenced database.
+
+        ``data`` is a ``file`` ref's content already read, parsed in
+        place of the path: the service hashes a file's bytes and parses
+        those same bytes, so a rewrite in between cannot pair one
+        content's hash with another's database.  Decoding and line
+        splitting are exactly those of reading the path as UTF-8 text.
+        """
+        if data is not None and self.kind != "file":
+            raise ParameterError(
+                "only a file dataset ref loads from data, not a "
+                f"{self.kind} ref"
+            )
         if self.kind == "inline":
             return TransactionalDatabase(self.rows or ())
         if self.kind == "file":
             from repro.timeseries.io import load_transactional_database
 
-            return load_transactional_database(self.path)
+            if data is None:
+                return load_transactional_database(self.path)
+            with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
+                return load_transactional_database(text)
         from repro.bench.workloads import WORKLOADS
 
         try:

@@ -15,6 +15,13 @@ property-tested in ``tests/service/test_cache.py``.
 Eviction is LRU over exact entries; a derivation refreshes its base
 entry's recency (the base just proved itself useful).  The cache is
 thread-safe: the daemon's worker pool calls it from executor threads.
+
+Beside the entries the cache keeps a memo from the SHA-256 of a file's
+raw bytes to the canonical ``dataset_digest`` those bytes parse to
+(:meth:`ResultCache.lookup_digest` / :meth:`ResultCache.record_digest`),
+so the daemon can find a file's cells without parsing it.  Equal bytes
+parse to equal databases, so a memo entry never goes stale; the memo is
+LRU-bounded by the same ``max_entries``.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ class ResultCache:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple, CacheEntry]" = OrderedDict()
+        self._digests: "OrderedDict[str, str]" = OrderedDict()
         self.hits = 0
         self.derived = 0
         self.misses = 0
@@ -141,6 +149,23 @@ class ResultCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
+
+    def lookup_digest(self, raw_digest: str) -> Optional[str]:
+        """The canonical digest recorded for ``raw_digest``, if any."""
+        with self._lock:
+            canonical = self._digests.get(raw_digest)
+            if canonical is not None:
+                self._digests.move_to_end(raw_digest)
+            return canonical
+
+    def record_digest(self, raw_digest: str, canonical: str) -> None:
+        """Remember that bytes hashing to ``raw_digest`` parse to
+        ``canonical``, evicting the least recently used pair if full."""
+        with self._lock:
+            self._digests[raw_digest] = canonical
+            self._digests.move_to_end(raw_digest)
+            while len(self._digests) > self.max_entries:
+                self._digests.popitem(last=False)
 
     def stats(self) -> Dict[str, int]:
         """Counters for the ``/metrics`` endpoint and tests."""

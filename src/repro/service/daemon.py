@@ -31,6 +31,7 @@ like a batch trace.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import io
 import json
 import sys
@@ -275,12 +276,30 @@ class MiningService:
             await loop.run_in_executor(self._executor, self._execute, job)
 
     def _execute(self, job: Job) -> None:
-        """Serve one job in a worker thread: cache, derive, or mine."""
+        """Serve one job in a worker thread: cache, derive, or mine.
+
+        A ``file`` source is read and hashed on every request; the
+        cache's memo maps those bytes' SHA-256 to the canonical digest,
+        so a hit or a derivation never parses.  Bytes the memo has not
+        seen, and misses, are parsed: the very bytes that were hashed.
+        """
         started = time.perf_counter()
         try:
             request = job.request
-            database = request.source.load()
-            digest = database.digest()
+            source = request.source
+            data = raw_digest = digest = database = None
+            if source.kind == "file":
+                # Content is the only identity trusted: size, mtime and
+                # path say nothing about what a rewrite left behind.
+                with open(source.path, "rb") as handle:
+                    data = handle.read()
+                raw_digest = hashlib.sha256(data).hexdigest()
+                digest = self.cache.lookup_digest(raw_digest)
+            if digest is None:
+                database = source.load(data)
+                digest = database.digest()
+                if raw_digest is not None:
+                    self.cache.record_digest(raw_digest, digest)
             outcome = self.cache.get(request, digest)
             if outcome is not None:
                 patterns = outcome.patterns
@@ -298,6 +317,8 @@ class MiningService:
                 ).inc()
                 job.cache = outcome.how
             else:
+                if database is None:
+                    database = source.load(data)
                 # The server owns every sink: replace the wire
                 # observability with stats collection only.
                 obs = request.observability

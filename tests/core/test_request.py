@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.options import ObservabilityOptions, ResilienceOptions
 from repro.core.request import DatasetRef, MiningRequest, resolve_jobs
-from repro.exceptions import ParameterError
+from repro.exceptions import DataFormatError, ParameterError
 from repro.parallel.faults import FaultPlan
 
 
@@ -52,6 +52,12 @@ class TestDatasetRef:
     def test_file_requires_path(self):
         with pytest.raises(ParameterError, match="path"):
             DatasetRef(kind="file")
+        # open() would read an int or a bool as a file descriptor.
+        for path in ("", 1, True, 3.5, ["x"]):
+            with pytest.raises(ParameterError, match="path"):
+                DatasetRef(kind="file", path=path)
+            with pytest.raises(ParameterError, match="path"):
+                DatasetRef.from_dict({"kind": "file", "path": path})
 
     @pytest.mark.parametrize(
         "ref",
@@ -67,6 +73,71 @@ class TestDatasetRef:
     def test_from_dict_rejects_non_object(self):
         with pytest.raises(ParameterError, match="object"):
             DatasetRef.from_dict(["inline"])
+
+
+class TestLoadFromData:
+    """``load(data)`` parses a file's bytes exactly as ``load()`` reads
+    its path."""
+
+    @staticmethod
+    def _file_ref(tmp_path, data: bytes) -> DatasetRef:
+        path = tmp_path / "db.tsv"
+        path.write_bytes(data)
+        return DatasetRef.file(str(path))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"1\ta b\n2\tb c\n4\ta c\n",
+            b"1\ta b\r\n2\tb c\r\n4\ta c\r\n",
+            b"1\ta b\r2\tb c\r4\ta c",
+            b"# header\n\n1\ta b\n   \n  # indented\n2\tb c\n\n",
+        ],
+        ids=["lf", "crlf", "lone-cr", "comments-and-blanks"],
+    )
+    def test_same_database(self, tmp_path, data):
+        ref = self._file_ref(tmp_path, data)
+        from_data, from_path = ref.load(data), ref.load()
+        assert len(from_path) > 0
+        assert from_data == from_path
+        assert from_data.digest() == from_path.digest()
+
+    def test_parses_the_bytes_given_not_the_path(self, tmp_path):
+        ref = DatasetRef.file(str(tmp_path / "absent.tsv"))
+        database = ref.load(b"1\ta b\n2\tb\n")
+        assert database.timestamps_of("b") == (1, 2)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_malformed_line_same_error(self, tmp_path, newline):
+        data = newline.join([b"# c", b"1\ta", b"", b"2 b", b""])
+        ref = self._file_ref(tmp_path, data)
+        with pytest.raises(DataFormatError) as from_path:
+            ref.load()
+        with pytest.raises(DataFormatError) as from_data:
+            ref.load(data)
+        assert str(from_data.value) == str(from_path.value)
+        assert str(from_path.value).startswith("line 4:")
+
+    def test_invalid_utf8_same_exception_type(self, tmp_path):
+        data = b"1\ta\n2\t\xff\xfe\n"
+        ref = self._file_ref(tmp_path, data)
+        with pytest.raises(UnicodeDecodeError) as from_path:
+            ref.load()
+        with pytest.raises(UnicodeDecodeError) as from_data:
+            ref.load(data)
+        assert type(from_data.value) is type(from_path.value)
+
+    @pytest.mark.parametrize(
+        "ref",
+        [
+            DatasetRef.inline([(1, ["a"])]),
+            DatasetRef.named_workload("quest", scale=0.01),
+        ],
+        ids=["inline", "workload"],
+    )
+    def test_only_file_refs_take_data(self, ref):
+        with pytest.raises(ParameterError, match="file"):
+            ref.load(b"1\ta\n")
 
 
 # ----------------------------------------------------------------------

@@ -153,6 +153,22 @@ def test_a_hit_refreshes_recency(running_example):
     assert cache.get(b, digest) is None
 
 
+def test_digest_memo_is_lru_within_max_entries():
+    cache = ResultCache(max_entries=2)
+    assert cache.lookup_digest("raw-a") is None
+    cache.record_digest("raw-a", "canonical-1")
+    cache.record_digest("raw-b", "canonical-1")
+    assert cache.lookup_digest("raw-a") == "canonical-1"  # now most recent
+    cache.record_digest("raw-c", "canonical-2")  # evicts raw-b, not raw-a
+    assert cache.lookup_digest("raw-a") == "canonical-1"
+    assert cache.lookup_digest("raw-b") is None
+    assert cache.lookup_digest("raw-c") == "canonical-2"
+    # The memo is no cache entry and no lookup outcome.
+    assert cache.stats() == {
+        "entries": 0, "hits": 0, "derived": 0, "misses": 0, "evictions": 0,
+    }
+
+
 def test_stats_counts_every_outcome(running_example):
     digest = running_example.digest()
     cache = ResultCache()

@@ -10,6 +10,8 @@ import asyncio
 import contextlib
 import gc
 import io
+import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,6 +22,7 @@ from repro.core.request import DatasetRef, MiningRequest
 from repro.obs.report import iter_trace, validate_run_record
 from repro.patterns_io import load_patterns, save_patterns
 from repro.service import MiningService, ServiceClient, ServiceError
+from repro.timeseries.io import load_transactional_database
 
 
 @contextlib.contextmanager
@@ -258,10 +261,244 @@ def test_protocol_errors(example_ref):
         del example_ref
 
 
+def test_file_ref_with_a_non_string_path_is_refused(example_ref):
+    # open() would take an int path for a descriptor of the daemon's
+    # own, read it, and close it.
+    read_fd, write_fd = os.pipe()
+    os.close(write_fd)
+    try:
+        with running_service() as service:
+            client = ServiceClient(port=service.port)
+            body = MiningRequest(per=2, min_ps=3, source=example_ref).to_dict()
+            for path in (read_fd, 3.5, ["x"]):
+                body["source"] = {"kind": "file", "path": path}
+                with pytest.raises(ServiceError) as excinfo:
+                    client._json("POST", "/jobs", body)
+                assert excinfo.value.status == 400
+                assert "path" in str(excinfo.value)
+            assert len(service.jobs) == 0
+            job_id = client.submit(
+                MiningRequest(per=2, min_ps=3, source=example_ref)
+            )
+            assert client.wait(job_id, timeout=60)["status"] == "done"
+        os.fstat(read_fd)  # never read or closed by the daemon
+    finally:
+        os.close(read_fd)
+
+
 def test_unreachable_service_raises_service_error():
     client = ServiceClient(port=1)  # nothing listens there
     with pytest.raises(ServiceError, match="repro-mine serve"):
         client.status("job-000001")
+
+
+# ----------------------------------------------------------------------
+# File sources: the bytes are the identity
+# ----------------------------------------------------------------------
+#: The running example's TSV, and a variant of the same length whose
+#: line 9 holds other items, so it mines to another answer.
+EXAMPLE_TSV = (
+    b"1\ta b g\n2\ta c d\n3\ta b e f\n4\ta b c d\n5\tc d e f g\n"
+    b"6\te f g\n7\ta b c g\n9\tc d\n10\tc d e f\n11\ta b e f\n"
+    b"12\ta b c d e f g\n14\ta b g\n"
+)
+VARIANT_TSV = EXAMPLE_TSV.replace(b"9\tc d\n", b"9\ta b\n")
+
+
+def _counted_loads(monkeypatch):
+    """Patch ``DatasetRef.load`` to record the path of every parse."""
+    parsed = []
+    original = DatasetRef.load
+
+    def load(self, *args, **kwargs):
+        parsed.append(self.path)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DatasetRef, "load", load)
+    return parsed
+
+
+def _answer(client, request) -> dict:
+    job_id = client.submit(request)
+    status = client.wait(job_id, timeout=60)
+    assert status["status"] == "done", status
+    return client.result(job_id)
+
+
+def _fresh_tsv(content: bytes, request, tmp_path) -> str:
+    """A local mine of ``content``, for comparison with the daemon."""
+    path = tmp_path / "fresh.tsv"
+    path.write_bytes(content)
+    return _tsv(
+        mine_recurring_patterns(
+            load_transactional_database(str(path)),
+            per=request.per,
+            min_ps=request.min_ps,
+            min_rec=request.min_rec,
+            engine=request.engine,
+        )
+    )
+
+
+def _file_request(path, min_rec=1, per=2):
+    return MiningRequest(
+        per=per, min_ps=3, min_rec=min_rec, source=DatasetRef.file(str(path))
+    )
+
+
+def test_file_hits_and_derivations_never_parse(tmp_path, monkeypatch):
+    path = tmp_path / "example.tsv"
+    path.write_bytes(EXAMPLE_TSV)
+    parsed = _counted_loads(monkeypatch)
+    with running_service() as service:
+        client = ServiceClient(port=service.port)
+        assert _answer(client, _file_request(path))["cache"] == "miss"
+        assert parsed == [str(path)]
+        assert _answer(client, _file_request(path))["cache"] == "hit"
+        derived = _answer(client, _file_request(path, min_rec=2))
+        assert derived["cache"] == "derived"
+        assert parsed == [str(path)]
+    assert derived["patterns_tsv"] == _fresh_tsv(
+        EXAMPLE_TSV, _file_request(path, min_rec=2), tmp_path
+    )
+
+
+def test_rewrite_in_place_with_size_and_mtime_restored(tmp_path):
+    path = tmp_path / "data.tsv"
+    path.write_bytes(EXAMPLE_TSV)
+    before = os.stat(path)
+    request = _file_request(path)
+    with running_service() as service:
+        client = ServiceClient(port=service.port)
+        first = _answer(client, request)
+        with open(path, "r+b") as handle:
+            handle.write(VARIANT_TSV)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+            before.st_size, before.st_mtime_ns, before.st_ino
+        )
+        second = _answer(client, request)
+    assert second["cache"] == "miss"
+    assert second["patterns_tsv"] == _fresh_tsv(VARIANT_TSV, request, tmp_path)
+    assert second["patterns_tsv"] != first["patterns_tsv"]
+
+
+def test_replace_by_rename(tmp_path):
+    path = tmp_path / "data.tsv"
+    path.write_bytes(EXAMPLE_TSV)
+    request = _file_request(path)
+    with running_service() as service:
+        client = ServiceClient(port=service.port)
+        first = _answer(client, request)
+        staged = tmp_path / "data.tsv.new"
+        staged.write_bytes(VARIANT_TSV)
+        os.replace(staged, path)
+        second = _answer(client, request)
+    assert second["cache"] == "miss"
+    assert second["patterns_tsv"] == _fresh_tsv(VARIANT_TSV, request, tmp_path)
+    assert second["patterns_tsv"] != first["patterns_tsv"]
+
+
+def test_file_deleted_between_submits_fails_naming_it(tmp_path):
+    path = tmp_path / "vanishing.tsv"
+    path.write_bytes(EXAMPLE_TSV)
+    with running_service() as service:
+        client = ServiceClient(port=service.port)
+        assert _answer(client, _file_request(path))["cache"] == "miss"
+        path.unlink()
+        job_id = client.submit(_file_request(path))
+        status = client.wait(job_id, timeout=60)
+    assert status["status"] == "failed"
+    assert str(path) in status["error"]
+
+
+def test_byte_identical_files_parse_once(tmp_path, monkeypatch):
+    first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    first.write_bytes(EXAMPLE_TSV)
+    second.write_bytes(EXAMPLE_TSV)
+    parsed = _counted_loads(monkeypatch)
+    with running_service() as service:
+        client = ServiceClient(port=service.port)
+        assert _answer(client, _file_request(first))["cache"] == "miss"
+        assert _answer(client, _file_request(second))["cache"] == "hit"
+    assert parsed == [str(first)]
+
+
+def test_reformatted_content_parses_once_then_shares_cells(
+    tmp_path, monkeypatch
+):
+    # CRLF line ends and reordered items: other bytes, same database.
+    lines = EXAMPLE_TSV.decode("utf-8").splitlines()
+    reformatted = "".join(
+        f"{ts}\t{' '.join(reversed(items.split()))}\r\n"
+        for ts, items in (line.split("\t") for line in lines)
+    ).encode("utf-8")
+    assert reformatted != EXAMPLE_TSV
+    plain, other = tmp_path / "plain.tsv", tmp_path / "other.tsv"
+    plain.write_bytes(EXAMPLE_TSV)
+    other.write_bytes(reformatted)
+    parsed = _counted_loads(monkeypatch)
+    with running_service() as service:
+        client = ServiceClient(port=service.port)
+        assert _answer(client, _file_request(plain))["cache"] == "miss"
+        assert _answer(client, _file_request(other))["cache"] == "hit"
+        assert _answer(client, _file_request(other))["cache"] == "hit"
+    assert parsed == [str(plain), str(other)]
+
+
+def test_digest_memo_is_bounded_by_the_cache_size(tmp_path, monkeypatch):
+    # Two spellings of one database: the single cached cell answers
+    # both, so only the memo's bound can make the first parse again.
+    first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    first.write_bytes(EXAMPLE_TSV)
+    second.write_bytes(EXAMPLE_TSV.replace(b"\n", b"\r\n"))
+    parsed = _counted_loads(monkeypatch)
+    with running_service(cache_size=1) as service:
+        client = ServiceClient(port=service.port)
+        outcomes = [
+            _answer(client, _file_request(path))["cache"]
+            for path in (first, second, first)
+        ]
+    assert outcomes == ["miss", "hit", "hit"]
+    assert parsed == [str(first), str(second), str(first)]
+
+
+def test_concurrent_file_requests_under_contention(tmp_path):
+    # Two pairs of byte-identical files, sixteen jobs at once on more
+    # workers than cores, with the interpreter switching threads as
+    # often as it can: every answer must still be its file's own.
+    contents = {}
+    for name, content in (("a", EXAMPLE_TSV), ("b", VARIANT_TSV)):
+        for copy in (1, 2):
+            path = tmp_path / f"{name}{copy}.tsv"
+            path.write_bytes(content)
+            contents[str(path)] = content
+    requests = [
+        _file_request(path, min_rec=min_rec, per=per)
+        for path in contents
+        for per in (2, 3)
+        for min_rec in (1, 2)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with running_service(workers=4) as service:
+            client = ServiceClient(port=service.port)
+            with ThreadPoolExecutor(max_workers=len(requests)) as pool:
+                job_ids = list(pool.map(client.submit, requests))
+                statuses = list(
+                    pool.map(lambda j: client.wait(j, timeout=120), job_ids)
+                )
+                answers = list(pool.map(client.result, job_ids))
+            stats = service.cache.stats()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [s["status"] for s in statuses] == ["done"] * len(requests)
+    for request, answer in zip(requests, answers):
+        content = contents[request.source.path]
+        assert answer["patterns_tsv"] == _fresh_tsv(content, request, tmp_path)
+    assert stats["hits"] + stats["derived"] + stats["misses"] == len(requests)
 
 
 # ----------------------------------------------------------------------
