@@ -2,8 +2,8 @@
 
 Generates periodic transaction files at 1x and 10x scale (constant
 pattern count, so only the raw data grows), mines them both in-memory
-and through :func:`repro.shard.mine_sharded_file` at a fixed
-``max_transactions``, and records the comparison to
+and through :func:`repro.shard.mine_sharded_file_request` at a fixed
+``max_events_in_memory``, and records the comparison to
 ``BENCH_oocore.json`` at the repository root in the ``repro-bench/v1``
 envelope.
 
@@ -29,8 +29,9 @@ import pathlib
 import time
 
 from repro.core.miner import mine_recurring_patterns
+from repro.core.request import MiningRequest
 from repro.obs.memory import peak_memory
-from repro.shard import mine_sharded_file
+from repro.shard import mine_sharded_file_request
 from repro.timeseries.io import load_transactional_database
 
 #: Transactions at scale 1x; the big input is SCALE_FACTOR times this.
@@ -105,14 +106,15 @@ def _measure(path):
     )
     del database
 
+    request = MiningRequest(
+        PER, MIN_PS, MIN_REC, max_events_in_memory=SHARD_BOUND
+    )
     with peak_memory() as sharded_peak:
-        sharded_result, _, _, report = mine_sharded_file(
-            path, PER, MIN_PS, MIN_REC, max_transactions=SHARD_BOUND
+        sharded_result, _, _, report = mine_sharded_file_request(
+            path, request
         )
     sharded_seconds, _ = _best(
-        lambda: mine_sharded_file(
-            path, PER, MIN_PS, MIN_REC, max_transactions=SHARD_BOUND
-        )
+        lambda: mine_sharded_file_request(path, request)
     )
     assert sharded_result == in_memory_result  # identity before speed
     return {

@@ -16,24 +16,34 @@ possible — the bench then only asserts result parity and records
 ``hardware_capped: true`` with the reason, as ``docs/performance.md``
 documents.
 
-Since the resilience layer landed, every parallel cell also records
-its retry counters (``chunks_retried`` / ``chunks_fallback``, asserted
-zero — no faults are injected here) and the large configuration
-additionally measures **supervision overhead**: supervised vs
-``supervised=False`` (the raw PR-2 fan-out) at ``jobs=2``, recorded as
+Every parallel cell also records its retry counters
+(``chunks_retried`` / ``chunks_fallback``, asserted zero — no faults
+are injected here), and the large configuration measures what
+**supervision** costs a fault-free ``jobs=2`` mine directly
+(:func:`_supervision_overhead`): the supervisor's own time outside
+chunk waits and pool calls, plus the workers' marker and heartbeat
+writes, as a fraction of the mine's wall time.  It is recorded as
 ``resilience_overhead`` and gated at <2% on multi-core hardware.
 """
 
+import functools
 import json
 import os
 import pathlib
+import shutil
+import statistics
+import tempfile
 import time
+from collections import defaultdict
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
+import repro.parallel.miner as parallel_miner
 from repro.bench.workloads import quest_workload
 from repro.core.miner import mine_recurring_patterns
 from repro.core.options import ObservabilityOptions
 from repro.obs.report import validate_run_record
-from repro.parallel import ParallelMiner
+from repro.parallel import faults, resilience
 
 JOB_COUNTS = (1, 2, 4)
 SCALES = (0.05, 0.2)  # small sanity point + the "large config" gate
@@ -47,32 +57,125 @@ MAX_SLOWDOWN = 0.05
 #: Multi-core gate: chunk supervision (markers, the wait loop, result
 #: validation) may cost at most 2% wall-clock when no faults fire.
 MAX_RESILIENCE_OVERHEAD = 0.02
+#: In-process samples behind the per-chunk and per-beat write costs.
+WRITE_SAMPLES = 200
 
 BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_parallel.json"
 
 
-def _supervision_overhead(db):
-    """Best-of wall-clock of supervised vs raw fan-out at jobs=2.
+def _timed(seconds, name, function):
+    """``function``, adding the time spent in each call to
+    ``seconds[name]``."""
 
-    Both paths run the identical chunk plan; the delta is exactly the
-    resilience layer's bookkeeping (marker files, the wait loop,
-    result validation).
-    """
-    timings = {}
-    for supervised in (True, False):
-        best = float("inf")
-        for _ in range(REPEATS):
-            miner = ParallelMiner(
-                **PARAMS, jobs=2, supervised=supervised
-            )
+    @functools.wraps(function)
+    def wrapper(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            seconds[name] += time.perf_counter() - started
+
+    return wrapper
+
+
+def _timed_pool(seconds):
+    """A ``ProcessPoolExecutor`` whose construction, ``submit`` and
+    ``shutdown`` add to ``seconds["pool"]``."""
+
+    class TimedPool(ProcessPoolExecutor):
+        __init__ = _timed(seconds, "pool", ProcessPoolExecutor.__init__)
+        submit = _timed(seconds, "pool", ProcessPoolExecutor.submit)
+        shutdown = _timed(seconds, "pool", ProcessPoolExecutor.shutdown)
+
+    return TimedPool
+
+
+def _write_costs():
+    """Median in-process cost of one guarded no-op chunk (its start,
+    heartbeat and done marker writes) and of one heartbeat rewrite,
+    against a temporary marker directory."""
+    marker_dir = tempfile.mkdtemp(prefix="bench-markers-")
+    chunk_seconds, beat_seconds = [], []
+
+    def beating_chunk(chunk_id, payload):
+        for _ in range(WRITE_SAMPLES):
             started = time.perf_counter()
-            miner.mine(db)
-            best = min(best, time.perf_counter() - started)
-        timings[supervised] = best
+            faults.maybe_beat(min_interval=0.0)
+            beat_seconds.append(time.perf_counter() - started)
+
+    faults.install_fault_plan(None, marker_dir)
+    try:
+        for chunk in range(WRITE_SAMPLES):
+            started = time.perf_counter()
+            faults.guarded_chunk(lambda *_: None, chunk, None, 1)
+            chunk_seconds.append(time.perf_counter() - started)
+        faults.guarded_chunk(beating_chunk, WRITE_SAMPLES, None, 1)
+    finally:
+        faults.install_fault_plan(None, None)
+        shutil.rmtree(marker_dir, ignore_errors=True)
+    return statistics.median(chunk_seconds), statistics.median(beat_seconds)
+
+
+def _supervision_overhead(db):
+    """What supervision costs a fault-free ``jobs=2`` mine, measured
+    directly rather than as an A/B against an unsupervised pool.
+
+    * Parent side: the wall time of ``supervise()`` minus the time
+      blocked in ``futures_wait`` and minus the pool's construction,
+      ``submit`` and ``shutdown``, which every pool pays.  What is left
+      is the supervisor's own work: the marker directory, the wait
+      loop's bookkeeping and result validation.
+    * Worker side: the run's chunk count times one guarded no-op
+      chunk's marker and heartbeat writes, plus one heartbeat write per
+      ``BEAT_INTERVAL`` of summed ``chunk[i]`` span time.
+
+    ``overhead_fraction`` is (parent + worker) over the mine's wall
+    time, each the median of ``REPEATS`` mines.  Summing both workers'
+    writes against one wall overstates their cost.  The wrapped
+    functions are patched from outside and restored after each mine.
+    """
+    chunk_write, beat_write = _write_costs()
+    parent, worker, walls = [], [], []
+    for _ in range(REPEATS):
+        seconds = defaultdict(float)
+        with mock.patch.object(
+            parallel_miner, "supervise",
+            _timed(seconds, "supervise", parallel_miner.supervise),
+        ), mock.patch.object(
+            resilience, "futures_wait",
+            _timed(seconds, "wait", resilience.futures_wait),
+        ), mock.patch.object(
+            resilience, "ProcessPoolExecutor", _timed_pool(seconds)
+        ):
+            started = time.perf_counter()
+            _, telemetry = mine_recurring_patterns(
+                db, **PARAMS, jobs=2,
+                observability=ObservabilityOptions(collect_stats=True),
+            )
+            walls.append(time.perf_counter() - started)
+        chunks = [
+            span.seconds
+            for root in telemetry.spans
+            for _, span in root.walk()
+            if span.name.startswith("chunk[")
+        ]
+        beats = int(sum(chunks) / faults.BEAT_INTERVAL)
+        parent.append(
+            seconds["supervise"] - seconds["wait"] - seconds["pool"]
+        )
+        worker.append(len(chunks) * chunk_write + beats * beat_write)
+    parent_seconds = statistics.median(parent)
+    worker_seconds = statistics.median(worker)
+    wall_seconds = statistics.median(walls)
     return {
-        "supervised_seconds": timings[True],
-        "unsupervised_seconds": timings[False],
-        "overhead_fraction": timings[True] / timings[False] - 1.0,
+        "parent_seconds": parent_seconds,
+        "worker_seconds": worker_seconds,
+        "wall_seconds": wall_seconds,
+        "overhead_fraction": (parent_seconds + worker_seconds)
+        / wall_seconds,
+        "chunks": len(chunks),
+        "guarded_chunk_seconds": chunk_write,
+        "beat_write_seconds": beat_write,
     }
 
 

@@ -54,15 +54,9 @@ def configure(commands) -> None:
     shard.add_argument(
         "--max-events",
         type=int,
-        default=100_000,
         metavar="N",
         help="per-shard transaction bound — the peak-memory knob "
-        "(default 100000)",
-    )
-    shard.add_argument(
-        "--mmap",
-        action="store_true",
-        help="memory-map the input instead of buffered reads",
+        "(default: repro.shard.DEFAULT_MAX_TRANSACTIONS)",
     )
     shard.set_defaults(handler=_cmd_shard)
 
@@ -74,7 +68,10 @@ def configure(commands) -> None:
 def _cmd_shard(args: argparse.Namespace) -> int:
     from repro.core.request import MiningRequest
     from repro.obs.progress import monitor_from_options
-    from repro.shard import mine_sharded_file_request
+    from repro.shard import (
+        DEFAULT_MAX_TRANSACTIONS,
+        mine_sharded_file_request,
+    )
 
     request = MiningRequest(
         per=args.per,
@@ -93,10 +90,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         found, stats, faults, report = mine_sharded_file_request(
-            args.input,
-            request,
-            monitor=monitor,
-            use_mmap=args.mmap,
+            args.input, request, monitor=monitor
         )
         if monitor is not None:
             monitor.run_finished(
@@ -129,9 +123,10 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             ),
         )
     )
+    bound = args.max_events or DEFAULT_MAX_TRANSACTIONS
     print(
         f"shards: {report.shard_count} "
-        f"(max {args.max_events} transactions each), "
+        f"(max {bound} transactions each), "
         f"candidates: {report.local_candidates} local + "
         f"{report.boundary_candidates} boundary, "
         f"stitched runs: {report.merge.stitched_runs}, "

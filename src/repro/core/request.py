@@ -49,8 +49,8 @@ def resolve_jobs(jobs: Optional[int], engine: str) -> int:
 
     ``None`` means 1; anything else must be a positive int, and counts
     above 1 require the engine's ``supports_jobs`` capability.  Shared
-    by :class:`MiningRequest` and the shard pipeline so both emit the
-    same pinned messages.
+    by :class:`MiningRequest` and the sweep plan so both emit the same
+    pinned messages.
     """
     spec = get_engine(engine)
     resolved = 1 if jobs is None else jobs

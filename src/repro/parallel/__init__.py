@@ -25,23 +25,16 @@ byte-identical to not using this package at all.
 from repro.exceptions import ChunkFailedError
 from repro.parallel.faults import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.parallel.miner import ParallelMiner, default_jobs, plan_chunks
-from repro.parallel.resilience import (
-    FALLBACK_MODES,
-    FaultEvent,
-    RetryPolicy,
-    supervise,
-)
+from repro.parallel.resilience import FaultEvent, supervise
 
 __all__ = [
     "ParallelMiner",
     "default_jobs",
     "plan_chunks",
     "FAULT_KINDS",
-    "FALLBACK_MODES",
     "FaultPlan",
     "FaultSpec",
     "FaultEvent",
-    "RetryPolicy",
     "supervise",
     "ChunkFailedError",
 ]

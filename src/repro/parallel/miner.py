@@ -38,7 +38,6 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Union
 
 from repro._validation import Number
@@ -54,10 +53,14 @@ from repro.exceptions import ChunkFailedError, ParameterError
 from repro.obs.counters import MiningStats
 from repro.obs.spans import Span, span
 from repro.parallel import worker as _worker
-from repro.parallel.resilience import FaultEvent, RetryPolicy, supervise
+from repro.parallel.resilience import FaultEvent, supervise
 from repro.timeseries.database import TransactionalDatabase
 
 __all__ = ["ParallelMiner", "default_jobs", "plan_chunks"]
+
+#: Target chunk count per worker: enough chunks to keep the straggler
+#: tail short, few enough that IPC stays unmeasurable.
+CHUNKS_PER_JOB = 4
 
 
 def default_jobs() -> int:
@@ -118,11 +121,8 @@ class ParallelMiner:
     jobs:
         Worker process count; ``None`` means one per CPU.  ``jobs=1``
         delegates to the serial engine in-process — no pool, no pickling,
-        byte-identical behaviour.
-    chunks_per_job:
-        Target chunk count per worker (default 4).  More chunks means
-        finer-grained load balancing but more IPC; the default keeps
-        the straggler tail short without measurable overhead.
+        byte-identical behaviour.  The roots are planned into at most
+        ``jobs * CHUNKS_PER_JOB`` chunks.
     mp_context:
         A :mod:`multiprocessing` context or start-method name.  The
         default prefers ``fork`` (cheap, inherits the imported
@@ -146,19 +146,12 @@ class ParallelMiner:
         prefixes and carrying the partial pattern set; ``fault_plan``
         injects deterministic worker failures (tests only).  ``None``
         means ``ResilienceOptions()``.
-    supervised:
-        ``False`` bypasses the resilience layer entirely (raw PR-2
-        fan-out: one ``future.result()`` per chunk, a worker crash
-        aborts the run).  Exists so the scaling bench can measure
-        supervision overhead; production code should leave it ``True``.
     monitor:
         A :class:`~repro.obs.progress.MiningMonitor` receiving live
         progress: one weighted phase per mine (unit = chunk, weight =
         its LPT cost estimate, so the ETA respects unequal chunks),
         per-worker heartbeat gauges and stale-worker reports from the
-        supervisor.  ``None`` (default) reports nothing.  Ignored when
-        ``supervised=False`` (the bench baseline measures the bare
-        pool).
+        supervisor.  ``None`` (default) reports nothing.
 
     Examples
     --------
@@ -176,12 +169,10 @@ class ParallelMiner:
         engine: str = "rp-growth",
         *,
         jobs: Optional[int] = None,
-        chunks_per_job: int = 4,
         mp_context: Union[str, object, None] = None,
         max_length: Optional[int] = None,
         item_order: str = "support-desc",
         resilience: Optional[ResilienceOptions] = None,
-        supervised: bool = True,
         monitor=None,
     ):
         parallel = engine_names(supports_jobs=True)
@@ -196,24 +187,13 @@ class ParallelMiner:
             jobs = default_jobs()
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise ParameterError(f"jobs must be a positive int, got {jobs!r}")
-        if chunks_per_job < 1:
-            raise ParameterError(
-                f"chunks_per_job must be >= 1, got {chunks_per_job!r}"
-            )
         self.params = MiningParameters(per=per, min_ps=min_ps, min_rec=min_rec)
         self.engine = engine
         self.jobs = jobs
-        self.chunks_per_job = chunks_per_job
         self.mp_context = mp_context
         self.max_length = max_length
         self.item_order = item_order
-        self.retry_policy = RetryPolicy(
-            timeout=resilience.timeout,
-            max_retries=resilience.max_retries,
-        )
-        self.fallback = resilience.fallback
-        self.fault_plan = resilience.fault_plan
-        self.supervised = supervised
+        self.resilience = resilience
         self.monitor = monitor
         self.last_stats: Optional[MiningStats] = None
         #: Fault log of the most recent ``mine()`` call — one
@@ -248,7 +228,7 @@ class ParallelMiner:
                 # list's length is the documented cost proxy.
                 sizes = [len(ts_list) for _, ts_list in candidates]
                 chunks = plan_chunks(
-                    sizes, max_chunks=self.jobs * self.chunks_per_job
+                    sizes, max_chunks=self.jobs * CHUNKS_PER_JOB
                 )
             self._run_pool(
                 initargs=(
@@ -293,12 +273,6 @@ class ParallelMiner:
         monitor's progress fraction and ETA are weight-based, so the
         bar is honest even when the chunk plan is deliberately uneven.
         """
-        workers = min(self.jobs, len(chunks))
-        if not self.supervised:
-            self._run_pool_unsupervised(
-                initargs, chunks, found, stats, mine_span, workers
-            )
-            return
         if self.monitor is not None:
             self.monitor.phase_started(
                 f"mine[{self.engine}]",
@@ -307,15 +281,13 @@ class ParallelMiner:
             )
         try:
             results, events, failed = supervise(
-                workers=workers,
+                workers=min(self.jobs, len(chunks)),
                 mp_context=self._context(),
                 initializer=_worker.init_chunk_worker,
                 initargs=initargs,
                 chunk_fn=_worker.mine_chunk,
                 payloads=chunks,
-                policy=self.retry_policy,
-                fallback=self.fallback,
-                fault_plan=self.fault_plan,
+                resilience=self.resilience,
                 monitor=self.monitor,
             )
         finally:
@@ -346,43 +318,12 @@ class ParallelMiner:
             ]
             raise ChunkFailedError(
                 f"{len(failed)} of {len(chunks)} parallel chunk(s) failed "
-                f"after {self.retry_policy.max_retries} retries; missing "
+                f"after {self.resilience.max_retries} retries; missing "
                 f"search-space prefixes: {', '.join(prefixes)}",
                 failed_prefixes=prefixes,
                 partial=RecurringPatternSet(found),
                 events=events,
             )
-
-    def _run_pool_unsupervised(
-        self,
-        initargs: tuple,
-        chunks: Sequence[Sequence[int]],
-        found: List[RecurringPattern],
-        stats: MiningStats,
-        mine_span: Optional[Span],
-        workers: int,
-    ) -> None:
-        """PR 2's raw fan-out, kept as the bench baseline for measuring
-        supervision overhead (``supervised=False``).  A worker failure
-        here surfaces as a bare ``BrokenProcessPool``."""
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=self._context(),
-            initializer=_worker.init_chunk_worker,
-            initargs=initargs,
-        ) as pool:
-            futures = [
-                pool.submit(_worker.mine_chunk, chunk_id, chunk)
-                for chunk_id, chunk in enumerate(chunks)
-            ]
-            for future in futures:
-                chunk_found, chunk_stats, chunk_spans = future.result()
-                found.extend(chunk_found)
-                stats.merge(chunk_stats)
-                if mine_span is not None:
-                    mine_span.children.extend(
-                        Span.from_dict(record) for record in chunk_spans
-                    )
 
     def _context(self):
         context = self.mp_context

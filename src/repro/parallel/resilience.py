@@ -13,7 +13,7 @@ and the ``ProcessPoolExecutor``:
   :mod:`repro.parallel.faults`;
 * **retry** — a failed chunk is resubmitted up to
   ``max_retries`` times with exponential backoff and deterministic
-  jitter (:class:`RetryPolicy`), to a fresh pool when the previous one
+  jitter (:func:`_retry_delay`), to a fresh pool when the previous one
   died;
 * **degradation** — once retries are exhausted the chunk is re-mined
   in-process by the serial engine code (``fallback="serial"``, the
@@ -57,86 +57,41 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import ParameterError
+from repro.core.options import ResilienceOptions
 from repro.obs.spans import Span, span
 from repro.parallel import faults as _faults
 
 __all__ = [
-    "FALLBACK_MODES",
-    "RetryPolicy",
     "FaultEvent",
     "supervise",
 ]
-
-#: What to do with a chunk whose retries are exhausted.
-FALLBACK_MODES = ("serial", "raise")
 
 #: Consecutive pool deaths with no chunk ever starting before the
 #: supervisor charges the failure to the chunks themselves (guards
 #: against e.g. an initializer that crashes every fresh pool).
 _MAX_BARREN_POOL_DEATHS = 2
 
+#: Base delay in seconds before a chunk's first retry; it doubles with
+#: each further failure of the same chunk.
+RETRY_BACKOFF = 0.05
+#: Upper bound on the doubled base delay.
+RETRY_MAX_DELAY = 2.0
+#: Largest fractional jitter added on top of the base delay.
+RETRY_JITTER = 0.25
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """When to give up on a chunk and how long to wait in between.
 
-    Parameters
-    ----------
-    timeout:
-        Per-chunk deadline in seconds, measured from submission to the
-        pool.  ``None`` (default) disables deadlines.  A chunk that was
-        *executing* past its deadline is charged a failure; a chunk
-        whose deadline lapsed while it was still queued behind others
-        is merely resubmitted (queue starvation is not the chunk's
-        fault).
-    max_retries:
-        Failed executions a chunk may accumulate before the fallback
-        kicks in; the first execution is not a retry, so a chunk runs
-        at most ``max_retries + 1`` times in the pool.
-    backoff:
-        Base delay before the first retry; doubles per subsequent
-        retry of the same chunk (``backoff * 2**(n-1)``), capped at
-        ``max_delay``.  ``0`` retries immediately.
-    max_delay:
-        Upper bound on any single backoff delay.
-    jitter:
-        Fractional jitter added to each delay.  The jitter is drawn
-        from a generator seeded with ``(chunk, failure count)``, so a
-        rerun of the same failing run waits the same amounts — the
-        whole supervision schedule stays reproducible.
+def _retry_delay(chunk: int, failures: int) -> float:
+    """Backoff before retry number ``failures`` of ``chunk``.
+
+    ``RETRY_BACKOFF * 2**(failures - 1)`` capped at ``RETRY_MAX_DELAY``,
+    plus up to ``RETRY_JITTER`` of that base.  The jitter is drawn from
+    a generator seeded with ``(chunk, failures)``, so a rerun of the
+    same failing run waits the same amounts and the whole supervision
+    schedule stays reproducible.
     """
-
-    timeout: Optional[float] = None
-    max_retries: int = 2
-    backoff: float = 0.05
-    max_delay: float = 2.0
-    jitter: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.timeout is not None and not self.timeout > 0:
-            raise ParameterError(
-                f"timeout must be positive or None, got {self.timeout!r}"
-            )
-        if not isinstance(self.max_retries, int) or isinstance(
-            self.max_retries, bool
-        ) or self.max_retries < 0:
-            raise ParameterError(
-                f"max_retries must be a non-negative int, "
-                f"got {self.max_retries!r}"
-            )
-        if self.backoff < 0 or self.max_delay < 0 or self.jitter < 0:
-            raise ParameterError(
-                "backoff, max_delay and jitter must be non-negative"
-            )
-
-    def delay(self, chunk: int, failures: int) -> float:
-        """Backoff before retry number ``failures`` of ``chunk``."""
-        if self.backoff <= 0:
-            return 0.0
-        base = min(self.backoff * (2 ** (failures - 1)), self.max_delay)
-        rng = random.Random((chunk + 1) * 2654435761 + failures)
-        return base * (1.0 + self.jitter * rng.random())
+    base = min(RETRY_BACKOFF * (2 ** (failures - 1)), RETRY_MAX_DELAY)
+    rng = random.Random((chunk + 1) * 2654435761 + failures)
+    return base * (1.0 + RETRY_JITTER * rng.random())
 
 
 @dataclass(frozen=True)
@@ -232,9 +187,7 @@ def supervise(
     initargs: tuple,
     chunk_fn: Callable,
     payloads: Sequence[object],
-    policy: RetryPolicy,
-    fallback: str = "serial",
-    fault_plan: Optional[_faults.FaultPlan] = None,
+    resilience: ResilienceOptions,
     monitor=None,
 ) -> Tuple[List[Optional[tuple]], List[FaultEvent], List[int]]:
     """Run every chunk to an accepted result, a fallback, or a verdict.
@@ -244,8 +197,15 @@ def supervise(
     function, ``initializer(*initargs)`` its per-worker setup.  The
     supervisor wraps both — workers run
     :func:`repro.parallel.faults.guarded_chunk` under a chained
-    initializer that installs ``fault_plan`` (``None`` in production)
-    and the failure-attribution markers.
+    initializer that installs ``resilience.fault_plan`` (``None`` in
+    production) and the failure-attribution markers.
+    ``resilience`` is the run's
+    :class:`~repro.core.options.ResilienceOptions`: its ``timeout`` is
+    the per-chunk deadline, measured from submission to the pool (a
+    chunk *executing* past it is charged a failure; one whose deadline
+    lapsed while still queued behind others is merely resubmitted),
+    ``max_retries`` the failures a chunk may accumulate before
+    ``fallback`` applies.
 
     ``monitor`` (a :class:`~repro.obs.progress.MiningMonitor`, or
     ``None``) receives ``unit_done`` per accepted chunk, heartbeat-age
@@ -266,10 +226,6 @@ def supervise(
     the returned triples reproduces the serial counters even when a
     chunk was executed several times.
     """
-    if fallback not in FALLBACK_MODES:
-        raise ParameterError(
-            f"fallback must be one of {FALLBACK_MODES}, got {fallback!r}"
-        )
     total = len(payloads)
     results: List[Optional[tuple]] = [None] * total
     events: List[FaultEvent] = []
@@ -292,7 +248,9 @@ def supervise(
             max_workers=workers,
             mp_context=mp_context,
             initializer=_faults.init_worker,
-            initargs=(fault_plan, marker_dir, initializer, initargs),
+            initargs=(
+                resilience.fault_plan, marker_dir, initializer, initargs
+            ),
         )
 
     def run_serial_fallback(chunk: int) -> None:
@@ -319,7 +277,7 @@ def supervise(
         """Charge a failure to ``chunk``; retry, fall back, or record."""
         state = states[chunk]
         state.failures += 1
-        if state.failures <= policy.max_retries:
+        if state.failures <= resilience.max_retries:
             events.append(FaultEvent(chunk, execution, reason, "retry"))
             if monitor is not None:
                 monitor.fault("retry", chunk, reason)
@@ -333,9 +291,9 @@ def supervise(
                         )
                     )
             queue.append(
-                (chunk, time.monotonic() + policy.delay(chunk, state.failures))
+                (chunk, time.monotonic() + _retry_delay(chunk, state.failures))
             )
-        elif fallback == "serial":
+        elif resilience.fallback == "serial":
             events.append(
                 FaultEvent(chunk, execution, reason, "fallback-serial")
             )
@@ -414,8 +372,8 @@ def supervise(
                 for chunk, _ in ready:
                     execution = states[chunk].executions + 1
                     deadline = (
-                        now + policy.timeout
-                        if policy.timeout is not None
+                        now + resilience.timeout
+                        if resilience.timeout is not None
                         else None
                     )
                     try:

@@ -575,21 +575,21 @@ def _sharded_canonical(
 ) -> List[tuple]:
     """Canonical view of a sharded mine; ``plan_spec`` is a shard count
     or ``("cuts", <cut tuple>)``."""
+    from repro.core.request import MiningRequest
     from repro.qa.differential import canonical
-    from repro.shard import mine_sharded_database
+    from repro.shard import mine_sharded_request
 
     key = (_stream_case_key(rows, params, 0), plan_spec, engine, jobs)
     if key in _SHARD_MEMO:
         return _SHARD_MEMO[key]
-    database = TransactionalDatabase(rows)
     per, min_ps, min_rec = params
-    kwargs = (
-        {"cuts": plan_spec[1]}
-        if isinstance(plan_spec, tuple)
-        else {"shards": plan_spec}
+    cuts = plan_spec[1] if isinstance(plan_spec, tuple) else None
+    request = MiningRequest(
+        per=per, min_ps=min_ps, min_rec=min_rec, engine=engine, jobs=jobs,
+        shards=None if cuts is not None else plan_spec,
     )
-    found, _, _, _ = mine_sharded_database(
-        database, per, min_ps, min_rec, engine, jobs=jobs, **kwargs
+    found, _, _, _ = mine_sharded_request(
+        TransactionalDatabase(rows), request, cuts=cuts
     )
     result = canonical(found)
     if len(_SHARD_MEMO) > 256:

@@ -25,8 +25,6 @@ from repro.shard.merge import (
 from repro.shard.miner import (
     DEFAULT_MAX_TRANSACTIONS,
     ShardRunReport,
-    mine_sharded_database,
-    mine_sharded_file,
     mine_sharded_file_request,
     mine_sharded_request,
 )
@@ -42,8 +40,6 @@ __all__ = [
     "merge_shard_results",
     "DEFAULT_MAX_TRANSACTIONS",
     "ShardRunReport",
-    "mine_sharded_database",
-    "mine_sharded_file",
     "mine_sharded_file_request",
     "mine_sharded_request",
     "ShardPlan",

@@ -20,11 +20,13 @@ than one shard (plus output-sized candidate state) in memory:
 4. **Merge** — :func:`~repro.shard.merge.merge_shard_results` stitches
    runs across cuts and applies the real thresholds.
 
-Entry points: :func:`mine_sharded_database` (shard an in-memory
-database — the façade's ``shards=`` / ``max_events_in_memory=`` path
-and the QA relation's adversarial-cuts path) and
-:func:`mine_sharded_file` (true out-of-core: both passes stream the
-file through :func:`~repro.timeseries.io.iter_database_chunks`).
+Entry points, one per source, each driven by a
+:class:`~repro.core.request.MiningRequest`:
+:func:`mine_sharded_request` (shard an in-memory database — the
+façade's ``shards=`` / ``max_events_in_memory=`` path and the QA
+relation's adversarial-cuts path) and :func:`mine_sharded_file_request`
+(true out-of-core: every pass streams the file through
+:func:`~repro.timeseries.io.iter_database_chunks`).
 """
 
 from __future__ import annotations
@@ -40,12 +42,11 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
-from repro._validation import Number, resolve_count_threshold
+from repro._validation import resolve_count_threshold
 from repro.core.intervals import _iter_runs
-from repro.core.model import MiningParameters, RecurringPatternSet
+from repro.core.model import RecurringPatternSet
 from repro.exceptions import ParameterError
 from repro.obs.counters import MiningStats
 from repro.obs.spans import span
@@ -59,7 +60,7 @@ from repro.shard.merge import (
     ShardResult,
     merge_shard_results,
 )
-from repro.shard.planner import ShardPlan, ShardPlanner, plan_with_cuts
+from repro.shard.planner import ShardPlanner, plan_with_cuts
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.io import (
     PathOrFile,
@@ -70,8 +71,6 @@ from repro.timeseries.io import (
 __all__ = [
     "DEFAULT_MAX_TRANSACTIONS",
     "ShardRunReport",
-    "mine_sharded_database",
-    "mine_sharded_file",
     "mine_sharded_file_request",
     "mine_sharded_request",
 ]
@@ -111,56 +110,6 @@ ShardedOutcome = Tuple[
 ]
 
 
-def mine_sharded_database(
-    database: TransactionalDatabase,
-    per: Number,
-    min_ps: Union[int, float],
-    min_rec: int = 1,
-    engine: str = "rp-growth",
-    *,
-    jobs: int = 1,
-    resilience=None,
-    monitor=None,
-    shards: Optional[int] = None,
-    max_transactions: Optional[int] = None,
-    cuts: Optional[Sequence[float]] = None,
-) -> ShardedOutcome:
-    """Mine an in-memory database through the sharded pipeline.
-
-    Exactly one of ``shards``, ``max_transactions`` and ``cuts`` picks
-    the plan; ``cuts`` places boundaries explicitly (the QA relations
-    use it to cut inside recurrence runs).  The result is byte-identical
-    to ``mine_recurring_patterns(database, ...)`` for any plan.
-    """
-    timestamps = [transaction.ts for transaction in database]
-    given = [
-        value for value in (shards, max_transactions, cuts)
-        if value is not None
-    ]
-    if len(given) != 1:
-        raise ParameterError(
-            "exactly one of shards, max_transactions and cuts must be set"
-        )
-    if cuts is not None:
-        plan = plan_with_cuts(timestamps, cuts)
-    else:
-        plan = ShardPlanner(
-            shards=shards, max_transactions=max_transactions
-        ).plan(timestamps)
-    return _mine_sharded(
-        lambda: plan.slices(database),
-        total=len(database),
-        plan=plan,
-        per=per,
-        min_ps=min_ps,
-        min_rec=min_rec,
-        engine=engine,
-        jobs=jobs,
-        resilience=resilience,
-        monitor=monitor,
-    )
-
-
 def mine_sharded_request(
     database: TransactionalDatabase,
     request,
@@ -168,29 +117,35 @@ def mine_sharded_request(
     monitor=None,
     cuts: Optional[Sequence[float]] = None,
 ) -> ShardedOutcome:
-    """Mine an in-memory database as described by a ``MiningRequest``.
+    """Mine an in-memory database through the sharded pipeline.
 
-    The request-object spelling of :func:`mine_sharded_database`:
-    thresholds, engine, jobs, resilience and the shard plan all come
+    Thresholds, engine, jobs, resilience and the shard plan all come
     from one :class:`~repro.core.request.MiningRequest`.  ``cuts``
-    overrides the plan with explicit boundaries (the QA relations'
-    hook); otherwise exactly one of ``request.shards`` /
-    ``request.max_events_in_memory`` must be set.
+    places boundaries explicitly and overrides the request's plan (the
+    QA relations use it to cut inside recurrence runs); otherwise the
+    request must set ``shards`` or ``max_events_in_memory``.  The
+    result is byte-identical to ``mine_recurring_patterns(database,
+    ...)`` for any plan.
     """
-    return mine_sharded_database(
-        database,
-        request.per,
-        request.min_ps,
-        request.min_rec,
-        request.engine,
-        jobs=request.jobs,
-        resilience=request.resilience,
+    timestamps = [transaction.ts for transaction in database]
+    if cuts is not None:
+        plan = plan_with_cuts(timestamps, cuts)
+    elif request.sharded:
+        plan = ShardPlanner(
+            shards=request.shards,
+            max_transactions=request.max_events_in_memory,
+        ).plan(timestamps)
+    else:
+        raise ParameterError(
+            "the request names no shard plan: set shards or "
+            "max_events_in_memory, or pass cuts"
+        )
+    return _mine_sharded(
+        lambda: plan.slices(database),
+        total=len(database),
+        expected_shards=plan.shard_count,
+        request=request,
         monitor=monitor,
-        shards=None if cuts is not None else request.shards,
-        max_transactions=(
-            None if cuts is not None else request.max_events_in_memory
-        ),
-        cuts=cuts,
     )
 
 
@@ -199,44 +154,6 @@ def mine_sharded_file_request(
     request,
     *,
     monitor=None,
-    use_mmap: bool = False,
-) -> ShardedOutcome:
-    """Mine a time-sorted file as described by a ``MiningRequest``.
-
-    The request-object spelling of :func:`mine_sharded_file`; the
-    per-shard bound comes from ``request.max_events_in_memory``
-    (falling back to :data:`DEFAULT_MAX_TRANSACTIONS`).
-    """
-    return mine_sharded_file(
-        source,
-        request.per,
-        request.min_ps,
-        request.min_rec,
-        request.engine,
-        jobs=request.jobs,
-        resilience=request.resilience,
-        monitor=monitor,
-        max_transactions=(
-            request.max_events_in_memory
-            if request.max_events_in_memory is not None
-            else DEFAULT_MAX_TRANSACTIONS
-        ),
-        use_mmap=use_mmap,
-    )
-
-
-def mine_sharded_file(
-    source: PathOrFile,
-    per: Number,
-    min_ps: Union[int, float],
-    min_rec: int = 1,
-    engine: str = "rp-growth",
-    *,
-    jobs: int = 1,
-    resilience=None,
-    monitor=None,
-    max_transactions: int = DEFAULT_MAX_TRANSACTIONS,
-    use_mmap: bool = False,
 ) -> ShardedOutcome:
     """Mine a time-sorted transaction file without ever loading it.
 
@@ -244,38 +161,37 @@ def mine_sharded_file(
     (:func:`~repro.timeseries.io.iter_database_chunks`): a counting
     pass (fractional ``min_ps`` resolves against the full transaction
     count, exactly as in-memory mining resolves it), the mining pass
-    and the verification pass.  Peak memory is bounded by
-    ``max_transactions`` plus output-sized candidate state, independent
-    of the input length.  ``source`` must be a path when the passes
-    need to reopen it (an open handle only supports a single pass) or
-    when ``use_mmap`` is set.
+    and the verification pass.  The per-shard bound is
+    ``request.max_events_in_memory`` (:data:`DEFAULT_MAX_TRANSACTIONS`
+    when unset), so peak memory is bounded by it plus output-sized
+    candidate state, independent of the input length.  ``source`` must
+    be a path: an open handle only supports a single pass.
     """
+    if request.shards is not None:
+        raise ParameterError(
+            "a file is sharded by max_events_in_memory (transactions per "
+            f"shard), not by a shard count; got shards={request.shards!r}"
+        )
     if hasattr(source, "read"):
         raise ParameterError(
-            "mine_sharded_file needs a re-readable path, not an open "
-            "handle — the pipeline streams the input more than once"
+            "mine_sharded_file_request needs a re-readable path, not an "
+            "open handle — the pipeline streams the input more than once"
         )
+    max_transactions = request.max_events_in_memory
+    if max_transactions is None:
+        max_transactions = DEFAULT_MAX_TRANSACTIONS
     total = 0
     previous_ts = None
-    for ts, _ in stream_transaction_rows(source, use_mmap=use_mmap):
+    for ts, _ in stream_transaction_rows(source):
         if ts != previous_ts:
             total += 1
             previous_ts = ts
-    shard_count = -(-total // max_transactions) if total else 0
     return _mine_sharded(
-        lambda: iter_database_chunks(
-            source, max_transactions, use_mmap=use_mmap
-        ),
+        lambda: iter_database_chunks(source, max_transactions),
         total=total,
-        plan=None,
-        per=per,
-        min_ps=min_ps,
-        min_rec=min_rec,
-        engine=engine,
-        jobs=jobs,
-        resilience=resilience,
+        expected_shards=-(-total // max_transactions),
+        request=request,
         monitor=monitor,
-        shard_count_hint=shard_count,
     )
 
 
@@ -286,42 +202,21 @@ def _mine_sharded(
     provider: Callable[[], Iterator[TransactionalDatabase]],
     *,
     total: int,
-    plan: Optional[ShardPlan],
-    per: Number,
-    min_ps: Union[int, float],
-    min_rec: int,
-    engine: str,
-    jobs: int,
-    resilience,
+    expected_shards: int,
+    request,
     monitor,
-    shard_count_hint: Optional[int] = None,
 ) -> ShardedOutcome:
     from repro.core.miner import run_request
-    from repro.core.options import ResilienceOptions
-    from repro.core.request import MiningRequest, resolve_jobs
 
-    MiningParameters(per=per, min_ps=min_ps, min_rec=min_rec)
-    jobs = resolve_jobs(jobs, engine)
     if total == 0:
         empty = ShardRunReport(0, (), (), 0, 0, MergeStats(0, 0, 0))
         return RecurringPatternSet(), MiningStats(), [], empty
-    min_ps_abs = resolve_count_threshold(min_ps, "min_ps", total)
+    per = request.per
+    min_ps_abs = resolve_count_threshold(request.min_ps, "min_ps", total)
     # Every shard mines at the run's absolute min_ps but min_rec=1: a
     # pattern with one interesting interval inside a shard is a
     # candidate.
-    shard_request = MiningRequest(
-        per=per,
-        min_ps=min_ps_abs,
-        min_rec=1,
-        engine=engine,
-        jobs=jobs,
-        resilience=(
-            ResilienceOptions() if resilience is None else resilience
-        ),
-    )
-    expected_shards = (
-        plan.shard_count if plan is not None else shard_count_hint
-    )
+    shard_request = request.with_thresholds(min_ps=min_ps_abs, min_rec=1)
     registry = monitor.registry if monitor is not None else None
 
     stats = MiningStats()
@@ -386,7 +281,8 @@ def _mine_sharded(
 
     with span("shard-merge"):
         result, merge_stats = merge_shard_results(
-            shard_results, per=per, min_ps=min_ps_abs, min_rec=min_rec
+            shard_results, per=per, min_ps=min_ps_abs,
+            min_rec=request.min_rec,
         )
 
     # The per-shard engine counters summed above describe the relaxed

@@ -13,7 +13,7 @@ raise :class:`~repro.exceptions.DataFormatError` with the line number.
 The transaction format is read as a stream:
 
 * :func:`stream_transaction_rows` lazily yields parsed ``(ts, items)``
-  rows — optionally via ``mmap`` — without materializing the file;
+  rows without materializing the file;
 * :func:`load_transactional_database` feeds that stream straight into
   the database constructor, so no intermediate row list is built;
 * :func:`iter_database_chunks` cuts a *time-sorted* file into bounded
@@ -24,11 +24,10 @@ The transaction format is read as a stream:
 
 from __future__ import annotations
 
-import mmap as _mmap
 import os
 from typing import IO, Iterator, List, Tuple, Union
 
-from repro.exceptions import DataFormatError
+from repro.exceptions import DataFormatError, ParameterError
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.events import EventSequence
 
@@ -79,15 +78,13 @@ def load_transactional_database(source: PathOrFile) -> TransactionalDatabase:
 
     Rows are parsed one at a time as the constructor consumes them
     (:func:`stream_transaction_rows`), so no intermediate row list is
-    built.  For a memory-mapped read, pass
-    ``stream_transaction_rows(path, use_mmap=True)`` to the
-    constructor.
+    built.
     """
     return TransactionalDatabase(stream_transaction_rows(source))
 
 
 def stream_transaction_rows(
-    source: PathOrFile, *, use_mmap: bool = False
+    source: PathOrFile,
 ) -> Iterator[Tuple[float, List[str]]]:
     """Lazily yield ``(ts, items)`` rows of a transaction-format source.
 
@@ -96,17 +93,13 @@ def stream_transaction_rows(
     malformed line raises :class:`~repro.exceptions.DataFormatError`
     *when the iterator reaches it*, carrying its line number in the
     file (skipped lines counted).
-
-    With ``use_mmap=True`` (paths only) the file is memory-mapped and
-    lines are decoded straight from the mapping — the OS pages the data
-    in and out instead of the Python heap holding it.
     """
-    for line_no, line in _lines(source, use_mmap=use_mmap):
+    for line_no, line in _lines(source):
         yield _parse_transaction_line(line_no, line)
 
 
 def iter_database_chunks(
-    source: PathOrFile, max_transactions: int, *, use_mmap: bool = False
+    source: PathOrFile, max_transactions: int
 ) -> Iterator[TransactionalDatabase]:
     """Cut a *time-sorted* transaction file into bounded database chunks.
 
@@ -124,19 +117,21 @@ def iter_database_chunks(
     :class:`~repro.exceptions.DataFormatError` with the offending line
     number.  This is the reader that feeds the out-of-core sharded
     miner (:mod:`repro.shard`); chunk boundaries are deterministic, so
-    repeated passes over the same file see identical chunks.
+    repeated passes over the same file see identical chunks.  A
+    ``max_transactions`` that is not a positive int raises
+    :class:`~repro.exceptions.ParameterError` when the iterator starts.
     """
     if isinstance(max_transactions, bool) or not isinstance(
         max_transactions, int
     ) or max_transactions < 1:
-        raise DataFormatError(
+        raise ParameterError(
             f"max_transactions must be a positive int, "
             f"got {max_transactions!r}"
         )
     rows: List[Tuple[float, List[str]]] = []
     distinct = 0
     previous_ts: float = float("-inf")
-    for line_no, line in _lines(source, use_mmap=use_mmap):
+    for line_no, line in _lines(source):
         ts, items = _parse_transaction_line(line_no, line)
         if ts < previous_ts:
             raise DataFormatError(
@@ -228,14 +223,10 @@ def save_spmf_transactions(
 # ----------------------------------------------------------------------
 # Internal helpers
 # ----------------------------------------------------------------------
-def _lines(
-    source: PathOrFile, *, use_mmap: bool = False
-) -> Iterator[Tuple[int, str]]:
+def _lines(source: PathOrFile) -> Iterator[Tuple[int, str]]:
     """Yield (line_number, stripped_line), skipping blanks and comments."""
     if hasattr(source, "read"):
         yield from _iter_handle(source)  # type: ignore[arg-type]
-    elif use_mmap:
-        yield from _iter_mmap(source)
     else:
         with open(source, "r", encoding="utf-8") as handle:
             yield from _iter_handle(handle)
@@ -247,31 +238,6 @@ def _iter_handle(handle: IO[str]) -> Iterator[Tuple[int, str]]:
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         yield line_no, line
-
-
-def _iter_mmap(path: Union[str, "os.PathLike[str]"]) -> Iterator[Tuple[int, str]]:
-    """Line iterator over a memory-mapped file.
-
-    Matches :func:`_iter_handle` on ``\\n``- and ``\\r\\n``-terminated
-    files (lone-``\\r`` line endings need the buffered reader, which
-    applies universal-newline translation).
-    """
-    with open(path, "rb") as handle:
-        if os.fstat(handle.fileno()).st_size == 0:
-            return
-        with _mmap.mmap(
-            handle.fileno(), 0, access=_mmap.ACCESS_READ
-        ) as mapped:
-            line_no = 0
-            while True:
-                raw = mapped.readline()
-                if not raw:
-                    return
-                line_no += 1
-                line = raw.decode("utf-8").rstrip("\r\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                yield line_no, line
 
 
 def _parse_transaction_line(

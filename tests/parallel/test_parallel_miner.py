@@ -24,11 +24,6 @@ class TestValidation:
         with pytest.raises(ParameterError, match="jobs"):
             ParallelMiner(per=2, min_ps=3, min_rec=2, jobs=jobs)
 
-    def test_rejects_bad_chunks_per_job(self):
-        with pytest.raises(ParameterError, match="chunks_per_job"):
-            ParallelMiner(per=2, min_ps=3, min_rec=2, jobs=2,
-                          chunks_per_job=0)
-
     def test_default_jobs_is_positive(self):
         assert default_jobs() >= 1
 

@@ -30,8 +30,8 @@ from repro.parallel import (
     FaultPlan,
     FaultSpec,
     ParallelMiner,
-    RetryPolicy,
 )
+from repro.parallel.resilience import _retry_delay
 from repro.timeseries.database import TransactionalDatabase
 
 pytestmark = pytest.mark.slow
@@ -271,15 +271,6 @@ def test_fault_spec_rejects_bad_execution():
         FaultSpec(0, "crash", execution=0)
 
 
-def test_retry_policy_rejects_bad_values():
-    with pytest.raises(ParameterError):
-        RetryPolicy(timeout=0.0)
-    with pytest.raises(ParameterError):
-        RetryPolicy(max_retries=-1)
-    with pytest.raises(ParameterError):
-        RetryPolicy(backoff=-0.1)
-
-
 def test_miner_rejects_bad_fallback():
     with pytest.raises(ParameterError):
         ParallelMiner(
@@ -297,3 +288,27 @@ def test_fault_plan_lookup():
     assert plan.find(2, 1).kind == "poison"
     assert plan.find(2, 9).kind == "poison"
     assert plan.find(0, 1) is None
+
+
+# ----------------------------------------------------------------------
+# The retry backoff schedule (docs/performance.md, "Retry policy")
+# ----------------------------------------------------------------------
+CHUNK_FAILURES = [(chunk, failures) for chunk in range(6)
+                  for failures in range(1, 9)]
+
+
+def test_retry_delay_is_a_pure_function_of_chunk_and_failures():
+    first = [_retry_delay(chunk, n) for chunk, n in CHUNK_FAILURES]
+    again = [_retry_delay(chunk, n) for chunk, n in CHUNK_FAILURES]
+    assert first == again
+    # Different chunks failing together do not retry in lockstep.
+    assert len({_retry_delay(chunk, 1) for chunk in range(6)}) == 6
+
+
+def test_retry_delay_doubles_from_backoff_to_cap_plus_bounded_jitter():
+    for chunk, failures in CHUNK_FAILURES:
+        # From the 7th failure on, 0.05 * 2**(n-1) >= 3.2 s: the cap
+        # binds.  The jitter adds at most 25% of the base.
+        base = min(0.05 * 2 ** (failures - 1), 2.0)
+        delay = _retry_delay(chunk, failures)
+        assert base <= delay <= base * 1.25, (chunk, failures, delay)

@@ -16,8 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.miner import mine_recurring_patterns
+from repro.core.request import MiningRequest
 from repro.qa.differential import canonical, oracle_canonical
-from repro.shard import mine_sharded_database
+from repro.shard import mine_sharded_request
 from repro.timeseries.database import TransactionalDatabase
 
 from tests.conftest import mining_parameters, small_databases
@@ -29,10 +30,14 @@ def _rows(database):
     ]
 
 
+def _mine_sharded(database, per, min_ps, min_rec, *, shards=None,
+                  cuts=None):
+    request = MiningRequest(per, min_ps, min_rec, shards=shards)
+    return mine_sharded_request(database, request, cuts=cuts)
+
+
 def _sharded_canonical(database, per, min_ps, min_rec, **plan):
-    found, _, _, _ = mine_sharded_database(
-        database, per, min_ps, min_rec, **plan
-    )
+    found, _, _, _ = _mine_sharded(database, per, min_ps, min_rec, **plan)
     return canonical(found)
 
 
@@ -75,7 +80,7 @@ def test_cuts_inside_every_planted_burst(planted_workload):
         for pattern in w.expected
         for interval in pattern.intervals
     ]
-    found, _, _, report = mine_sharded_database(
+    found, _, _, report = _mine_sharded(
         w.database, w.per, w.min_ps, w.min_rec, cuts=cuts
     )
     expected = mine_recurring_patterns(w.database, w.per, w.min_ps, w.min_rec)
@@ -98,13 +103,13 @@ def test_pattern_interesting_only_across_cuts():
     expected = mine_recurring_patterns(database, 1, 6, 1)
     assert len(expected) == 3  # a, b, ab
     for cut in (1, 2, 3, 4, 5):
-        found, _, _, report = mine_sharded_database(
+        found, _, _, report = _mine_sharded(
             database, 1, 6, 1, cuts=[cut]
         )
         assert found == expected, f"cut at {cut}"
         assert report.boundary_candidates >= 3
     # And with a cut at every transaction: maximal fragmentation.
-    found, _, _, _ = mine_sharded_database(
+    found, _, _, _ = _mine_sharded(
         database, 1, 6, 1, cuts=[1, 2, 3, 4, 5]
     )
     assert found == expected
@@ -118,7 +123,7 @@ def test_run_chain_hops_over_absent_shard():
     database = TransactionalDatabase(rows)
     expected = mine_recurring_patterns(database, 2, 8, 1)
     assert [p.sorted_items() for p in expected] == [("a",)]
-    found, _, _, report = mine_sharded_database(
+    found, _, _, report = _mine_sharded(
         database, 2, 8, 1, cuts=[4, 5]
     )
     assert found == expected

@@ -3,8 +3,8 @@
 The workload is a long strictly-periodic file (``ts<TAB>a b`` every
 tick): pattern count and candidate state are constant, so the only
 thing that grows with the input is the data itself.  In-memory mining
-must hold it all; ``mine_sharded_file`` at a fixed
-``max_transactions`` must not — its peak is bounded by one shard plus
+must hold it all; ``mine_sharded_file_request`` at a fixed
+``max_events_in_memory`` must not — its peak is bounded by one shard plus
 output-sized state, whatever the file length.
 """
 
@@ -13,8 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.miner import mine_recurring_patterns
+from repro.core.request import MiningRequest
 from repro.obs.memory import peak_memory
-from repro.shard import mine_sharded_file
+from repro.shard import mine_sharded_file_request
 from repro.timeseries.io import load_transactional_database
 
 #: Per-shard transaction bound used by every measurement.
@@ -32,8 +33,11 @@ def _write_periodic(path, transactions: int) -> None:
 
 def _sharded_peak(path, transactions: int) -> int:
     with peak_memory() as measured:
-        found, _, _, _ = mine_sharded_file(
-            path, 1, transactions, 1, max_transactions=SHARD_BOUND
+        found, _, _, _ = mine_sharded_file_request(
+            path,
+            MiningRequest(
+                1, transactions, 1, max_events_in_memory=SHARD_BOUND
+            ),
         )
     # per=1, min_ps=n, min_rec=1: the single full-length run must
     # survive stitching across every shard boundary.

@@ -8,14 +8,15 @@ import pytest
 
 from repro.core.miner import mine_recurring_patterns
 from repro.core.options import ObservabilityOptions
+from repro.core.request import MiningRequest
 from repro.exceptions import ParameterError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import MiningMonitor
 from repro.qa.relations import engine_matrix
 from repro.shard import (
     DEFAULT_MAX_TRANSACTIONS,
-    mine_sharded_database,
-    mine_sharded_file,
+    mine_sharded_file_request,
+    mine_sharded_request,
 )
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.io import save_transactional_database
@@ -31,8 +32,9 @@ def test_sharded_equals_in_memory_across_matrix(
     expected = mine_recurring_patterns(
         running_example, 2, 3, 2, engine=engine, jobs=jobs
     )
-    found, stats, faults, report = mine_sharded_database(
-        running_example, 2, 3, 2, engine, jobs=jobs, shards=shards
+    found, stats, faults, report = mine_sharded_request(
+        running_example,
+        MiningRequest(2, 3, 2, engine=engine, jobs=jobs, shards=shards),
     )
     assert found == expected
     assert faults == []
@@ -44,8 +46,8 @@ def test_sharded_equals_in_memory_across_matrix(
 def test_sharded_equals_in_memory_on_planted(planted_workload, shards):
     w = planted_workload
     expected = mine_recurring_patterns(w.database, w.per, w.min_ps, w.min_rec)
-    found, _, _, _ = mine_sharded_database(
-        w.database, w.per, w.min_ps, w.min_rec, shards=shards
+    found, _, _, _ = mine_sharded_request(
+        w.database, MiningRequest(w.per, w.min_ps, w.min_rec, shards=shards)
     )
     assert found == expected
     assert {p.sorted_items() for p in found} >= {
@@ -59,24 +61,22 @@ def test_fractional_min_ps_resolves_against_full_database(running_example):
     expected = mine_recurring_patterns(running_example, 2, 0.25, 2)
     assert expected == mine_recurring_patterns(running_example, 2, 3, 2)
     for shards in SHARD_COUNTS:
-        found, _, _, _ = mine_sharded_database(
-            running_example, 2, 0.25, 2, shards=shards
+        found, _, _, _ = mine_sharded_request(
+            running_example, MiningRequest(2, 0.25, 2, shards=shards)
         )
         assert found == expected
 
 
 def test_exactly_one_plan_mode_required(running_example):
-    with pytest.raises(ParameterError):
-        mine_sharded_database(running_example, 2, 3, 2)
-    with pytest.raises(ParameterError):
-        mine_sharded_database(
-            running_example, 2, 3, 2, shards=2, max_transactions=4
-        )
+    with pytest.raises(ParameterError, match="no shard plan"):
+        mine_sharded_request(running_example, MiningRequest(2, 3, 2))
+    with pytest.raises(ParameterError, match="mutually exclusive"):
+        MiningRequest(2, 3, 2, shards=2, max_events_in_memory=4)
 
 
 def test_empty_database_mines_empty():
-    found, stats, faults, report = mine_sharded_database(
-        TransactionalDatabase([]), 2, 3, 1, shards=3
+    found, stats, faults, report = mine_sharded_request(
+        TransactionalDatabase([]), MiningRequest(2, 3, 1, shards=3)
     )
     assert len(found) == 0
     assert faults == []
@@ -88,26 +88,47 @@ def test_file_path_rejects_open_handles(tmp_path, running_example):
     save_transactional_database(running_example, path)
     with open(path, encoding="utf-8") as handle:
         with pytest.raises(ParameterError):
-            mine_sharded_file(handle, 2, 3, 2, max_transactions=4)
+            mine_sharded_file_request(
+                handle, MiningRequest(2, 3, 2, max_events_in_memory=4)
+            )
 
 
-@pytest.mark.parametrize("use_mmap", (False, True))
-def test_file_mining_matches_database_mining(
-    tmp_path, planted_workload, use_mmap
-):
+def test_file_mining_refuses_a_shard_count(tmp_path):
+    """Regression: a file-sharded request with ``shards=3`` used to
+    ignore it and mine the running example as one 12-transaction
+    shard.  A file is cut by a per-shard bound, so the request is
+    refused, naming that bound, before the file is opened (the path
+    does not exist, so opening it would raise FileNotFoundError)."""
+    with pytest.raises(ParameterError, match="max_events_in_memory"):
+        mine_sharded_file_request(
+            tmp_path / "missing.tsv",
+            MiningRequest(per=2, min_ps=3, min_rec=2, shards=3),
+        )
+
+
+def test_file_mining_refuses_a_zero_bound_before_reading():
+    """Regression: a zero per-shard bound used to read the whole file
+    and then divide by zero.  The request refuses it up front."""
+    with pytest.raises(ParameterError, match="max_events_in_memory"):
+        MiningRequest(2, 3, 2, max_events_in_memory=0)
+
+
+def test_file_mining_matches_database_mining(tmp_path, planted_workload):
     w = planted_workload
     path = tmp_path / "w.tsv"
     save_transactional_database(w.database, path)
     expected = mine_recurring_patterns(w.database, w.per, w.min_ps, w.min_rec)
-    for max_transactions in (7, 23, DEFAULT_MAX_TRANSACTIONS):
-        found, _, _, report = mine_sharded_file(
-            path, w.per, w.min_ps, w.min_rec,
-            max_transactions=max_transactions, use_mmap=use_mmap,
+    for max_transactions in (7, 23, None):
+        found, _, _, report = mine_sharded_file_request(
+            path,
+            MiningRequest(
+                w.per, w.min_ps, w.min_rec,
+                max_events_in_memory=max_transactions,
+            ),
         )
         assert found == expected
-        assert report.shard_count == -(
-            -len(w.database) // max_transactions
-        )
+        bound = max_transactions or DEFAULT_MAX_TRANSACTIONS
+        assert report.shard_count == -(-len(w.database) // bound)
 
 
 # ----------------------------------------------------------------------
@@ -155,8 +176,8 @@ def test_unsharded_telemetry_has_no_shard_extra(running_example):
 def test_shard_metrics_counters(running_example):
     registry = MetricsRegistry()
     monitor = MiningMonitor(registry=registry)
-    found, _, _, report = mine_sharded_database(
-        running_example, 2, 3, 2, shards=3, monitor=monitor
+    found, _, _, report = mine_sharded_request(
+        running_example, MiningRequest(2, 3, 2, shards=3), monitor=monitor
     )
 
     def counter(name):

@@ -1,12 +1,12 @@
-"""Streaming/mmap/chunked readers vs. a fully materialized read.
+"""Streaming/chunked readers vs. a fully materialized read.
 
 ``tests/timeseries/corpus/`` holds checked-in transaction files — the
 paper's running example (annotated with comments and blank lines), a
 planted workload, float/negative timestamps, duplicate timestamps and
-a deliberately unsorted file.  Every reader variant must agree byte
-for byte with the database built from the file's rows read into a
-list first, and errors stay lazy and line-numbered
-(``DataFormatError``) on every variant.
+a deliberately unsorted file.  Every reader, from a path or from an
+open handle, must agree byte for byte with the database built from the
+file's rows read into a list first, and errors stay lazy and
+line-numbered (``DataFormatError``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from repro.exceptions import DataFormatError
+from repro.exceptions import DataFormatError, ParameterError
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.io import (
     iter_database_chunks,
@@ -48,11 +48,7 @@ def test_corpus_is_present_and_nontrivial():
 def test_streaming_loader_matches_eager_on_corpus(path):
     eager = TransactionalDatabase(list(stream_transaction_rows(path)))
     streamed = load_transactional_database(path)
-    mapped = TransactionalDatabase(
-        stream_transaction_rows(path, use_mmap=True)
-    )
     assert _content_equal(streamed, eager)
-    assert _content_equal(mapped, eager)
 
 
 @pytest.mark.parametrize(
@@ -65,15 +61,17 @@ def test_streaming_works_on_open_handles(path):
 
 
 @pytest.mark.parametrize("path", SORTED_FILES, ids=lambda p: p.name)
-@pytest.mark.parametrize("use_mmap", (False, True))
+@pytest.mark.parametrize("from_handle", (False, True))
 @pytest.mark.parametrize("max_transactions", (1, 3, 1000))
 def test_chunks_concatenate_to_eager_database(
-    path, use_mmap, max_transactions
+    path, from_handle, max_transactions
 ):
     eager = load_transactional_database(path)
-    chunks = list(
-        iter_database_chunks(path, max_transactions, use_mmap=use_mmap)
-    )
+    if from_handle:
+        with open(path, encoding="utf-8") as handle:
+            chunks = list(iter_database_chunks(handle, max_transactions))
+    else:
+        chunks = list(iter_database_chunks(path, max_transactions))
     rebuilt = [(ts, items) for chunk in chunks for ts, items in chunk]
     assert rebuilt == list(eager)
     assert all(1 <= len(chunk) <= max_transactions for chunk in chunks)
@@ -102,9 +100,10 @@ def test_chunker_rejects_unsorted_files():
 
 
 def test_chunker_validates_max_transactions():
+    # A bad bound is a bad argument, not bad data: ParameterError.
     path = CORPUS / "running_example.tsv"
     for bad in (0, -1, True, 2.5):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ParameterError, match="max_transactions"):
             list(iter_database_chunks(path, bad))
 
 
@@ -134,28 +133,22 @@ def test_streaming_error_line_numbers_match_eager(tmp_path):
         load_transactional_database(path)
     with pytest.raises(DataFormatError) as stream_error:
         list(stream_transaction_rows(path))
-    with pytest.raises(DataFormatError) as mmap_error:
-        list(stream_transaction_rows(path, use_mmap=True))
     assert "line 4" in str(eager_error.value)
     assert str(stream_error.value) == str(eager_error.value)
-    assert str(mmap_error.value) == str(eager_error.value)
 
 
-def test_mmap_handles_blank_lines_comments_and_crlf(tmp_path):
+def test_stream_handles_blank_lines_comments_and_crlf(tmp_path):
     path = tmp_path / "crlf.tsv"
     path.write_bytes(b"# comment\r\n\r\n1\ta b\r\n2\tc\r\n")
     expected = [(1, ["a", "b"]), (2, ["c"])]
-    assert list(stream_transaction_rows(path, use_mmap=True)) == expected
     assert list(stream_transaction_rows(path)) == expected
 
 
-def test_mmap_empty_file(tmp_path):
+def test_stream_empty_file(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("", encoding="utf-8")
-    assert list(stream_transaction_rows(path, use_mmap=True)) == []
-    assert len(
-        TransactionalDatabase(stream_transaction_rows(path, use_mmap=True))
-    ) == 0
+    assert list(stream_transaction_rows(path)) == []
+    assert len(TransactionalDatabase(stream_transaction_rows(path))) == 0
 
 
 def test_round_trip_through_save(tmp_path):
@@ -164,9 +157,7 @@ def test_round_trip_through_save(tmp_path):
         target = tmp_path / source.name
         save_transactional_database(database, target)
         assert _content_equal(
-            TransactionalDatabase(
-                stream_transaction_rows(target, use_mmap=True)
-            ),
+            TransactionalDatabase(stream_transaction_rows(target)),
             database,
         )
         chunks = list(iter_database_chunks(target, 2))
