@@ -12,7 +12,8 @@ check the qualitative observations of Section 5.2:
 
 import pytest
 
-from repro.bench.harness import sweep_pattern_counts
+from repro.bench.harness import grid_table
+from repro.sweep import SweepPlan, run_sweep
 
 PERS = (360, 720, 1440)
 MIN_RECS = (1, 2, 3)
@@ -25,24 +26,29 @@ GRIDS = {
 
 
 def _sweep(db, name):
-    return sweep_pattern_counts(db, name, PERS, GRIDS[name], MIN_RECS)
+    return run_sweep(
+        db,
+        SweepPlan(pers=PERS, min_ps_values=GRIDS[name], min_recs=MIN_RECS),
+        dataset=name,
+    )
 
 
 def _check_trends(result):
-    pers, ps_values, recs = result.pers, result.min_ps_values, result.min_recs
+    plan, value = result.plan, result.counts()
+    pers, ps_values, recs = plan.pers, plan.min_ps_values, plan.min_recs
     # Counts decrease (weakly) in minPS.
     for per in pers:
         for rec in recs:
-            counts = [result.value(per, ps, rec) for ps in ps_values]
+            counts = [value[(per, ps, rec)] for ps in ps_values]
             assert counts == sorted(counts, reverse=True), (per, rec, counts)
     # Counts decrease (weakly) in minRec.
     for per in pers:
         for ps in ps_values:
-            counts = [result.value(per, ps, rec) for rec in recs]
+            counts = [value[(per, ps, rec)] for rec in recs]
             assert counts == sorted(counts, reverse=True), (per, ps, counts)
     # At minRec=1, counts increase (weakly) in per.
     for ps in ps_values:
-        counts = [result.value(per, ps, 1) for per in pers]
+        counts = [value[(per, ps, 1)] for per in pers]
         assert counts == sorted(counts), (ps, counts)
 
 
@@ -52,8 +58,8 @@ def test_table5(dataset, benchmark, record_artifact, request):
     result = benchmark.pedantic(
         _sweep, args=(db, dataset), rounds=1, iterations=1
     )
-    record_artifact(f"table5_{dataset}", result.as_table())
+    record_artifact(f"table5_{dataset}", grid_table(result))
     _check_trends(result)
     # The grid must not be degenerate: the loosest cell finds patterns.
-    loosest = result.value(PERS[-1], GRIDS[dataset][0], 1)
+    loosest = len(result.pattern_set(PERS[-1], GRIDS[dataset][0], 1))
     assert loosest > 0

@@ -9,8 +9,9 @@ larger minPS and minRec — are asserted on the recorded grid.
 
 import pytest
 
-from repro.bench.harness import sweep_runtime
+from repro.bench.harness import grid_table
 from repro.core.miner import mine_recurring_patterns
+from repro.sweep import SweepPlan, run_sweep
 
 GRID_PERS = (360, 720, 1440)
 GRID_RECS = (1, 2, 3)
@@ -48,16 +49,23 @@ def test_runtime_cell(dataset, per, min_ps, min_rec, benchmark, request):
 @pytest.mark.parametrize("dataset", ["quest", "shop14", "twitter"])
 def test_table7_grid(dataset, benchmark, record_artifact, request):
     db = request.getfixturevalue(f"{dataset}_db")
+    # Every cell is mined (no min_rec derivation), so each is timed.
+    plan = SweepPlan(
+        pers=GRID_PERS, min_ps_values=GRIDS[dataset], min_recs=GRID_RECS,
+        derive_min_rec=False,
+    )
     result = benchmark.pedantic(
-        sweep_runtime,
-        args=(db, dataset, GRID_PERS, GRIDS[dataset], GRID_RECS),
+        run_sweep,
+        args=(db, plan),
+        kwargs={"dataset": dataset},
         rounds=1,
         iterations=1,
     )
-    record_artifact(f"table7_{dataset}_runtime", result.as_table())
+    record_artifact(f"table7_{dataset}_runtime", grid_table(result, "seconds"))
     # Directional check (loose, single-run timings are noisy): the
     # loosest cell must not be faster than the tightest by more than
     # noise — i.e. the tightest cell should win or roughly tie.
-    loosest = result.value(GRID_PERS[-1], GRIDS[dataset][0], 1)
-    tightest = result.value(GRID_PERS[0], GRIDS[dataset][-1], GRID_RECS[-1])
+    seconds = result.seconds_by_cell
+    loosest = seconds[(GRID_PERS[-1], GRIDS[dataset][0], 1)]
+    tightest = seconds[(GRID_PERS[0], GRIDS[dataset][-1], GRID_RECS[-1])]
     assert tightest <= loosest * 1.5, (tightest, loosest)

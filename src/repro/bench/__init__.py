@@ -3,18 +3,18 @@
 * :mod:`repro.bench.workloads` — the three evaluation databases
   (Quest/T10I4, Shop-14-like, Twitter-like) at configurable scale,
   cached per configuration;
-* :mod:`repro.bench.harness` — parameter-grid sweeps producing the
-  rows of Tables 5, 7 and 8 and the series of Figures 7 and 9;
+* :mod:`repro.bench.harness` — the Table 5/7 pivots and Figure 7/9
+  panels of a :func:`repro.sweep.run_sweep` grid, and the Table 8
+  model comparison;
 * :mod:`repro.bench.reporting` — fixed-width ASCII tables and series
   renderers used by the benchmark scripts and the CLI.
 """
 
 from repro.bench.harness import (
     ComparisonResult,
-    GridResult,
     compare_models,
-    sweep_pattern_counts,
-    sweep_runtime,
+    grid_figure,
+    grid_table,
 )
 from repro.bench.reporting import format_series, format_table
 from repro.bench.workloads import (
@@ -24,11 +24,10 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "GridResult",
     "ComparisonResult",
-    "sweep_pattern_counts",
-    "sweep_runtime",
     "compare_models",
+    "grid_figure",
+    "grid_table",
     "format_table",
     "format_series",
     "quest_workload",

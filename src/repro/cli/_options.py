@@ -4,15 +4,19 @@ Every subcommand family module pulls its common flags from here so the
 flag vocabulary stays identical across the CLI: ``--log-level``,
 ``--jobs``/``--chunk-timeout``/``--max-retries``,
 ``--progress``/``--no-progress`` (+ ``--metrics-out``), and
-``--profile``/``--trace-out``/``--track-memory``.
+``--profile``/``--trace-out``/``--track-memory``.  It also holds the
+two tables more than one subcommand prints: the pattern table and a
+sweep's phase totals.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
-from typing import Callable
+from typing import Callable, Iterable
 
+from repro.bench.reporting import format_table
 from repro.bench.workloads import WORKLOADS
 from repro.core.options import ObservabilityOptions, ResilienceOptions
 from repro.timeseries.database import TransactionalDatabase
@@ -164,6 +168,44 @@ def _monitored_call(
         return result
     finally:
         monitor.close()
+
+
+def _print_pattern_table(patterns: Iterable, title: str) -> None:
+    """Print one row per pattern: items, support, recurrence, intervals."""
+    rows = [
+        (
+            " ".join(str(item) for item in p.sorted_items()),
+            p.support,
+            p.recurrence,
+            ", ".join(str(interval) for interval in p.intervals),
+        )
+        for p in patterns
+    ]
+    print(
+        format_table(
+            ["pattern", "sup", "rec", "interesting periodic-intervals"],
+            rows,
+            title=title,
+        )
+    )
+
+
+def _print_phase_totals(sweep) -> None:
+    """A sweep's ``--profile`` table on stderr: seconds per phase,
+    summed over the grid, after the shared transform."""
+    totals = {"transform": sweep.transform_seconds}
+    for key in sweep.plan.cells():
+        for name, seconds in sweep.phase_breakdown(*key).items():
+            totals[name] = totals.get(name, 0.0) + seconds
+    rows = [[name, f"{seconds:.6f}"] for name, seconds in totals.items()]
+    rows.append(["total", f"{sweep.seconds:.6f}"])
+    print(
+        format_table(
+            ["phase", "seconds"], rows,
+            title=f"{sweep.dataset}: phase totals over the grid",
+        ),
+        file=sys.stderr,
+    )
 
 
 def _resilience_options(args: argparse.Namespace) -> ResilienceOptions:

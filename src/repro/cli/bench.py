@@ -15,6 +15,7 @@ from repro.cli._options import (
     _add_profiling_flags,
     _add_progress_flag,
     _load,
+    _print_phase_totals,
     _resilience_options,
     _threshold,
 )
@@ -111,92 +112,39 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.harness import sweep_pattern_counts, sweep_runtime
-    from repro.obs.progress import monitor_from_options
+    from repro.bench.harness import grid_table
+    from repro.sweep import SweepPlan, run_sweep
 
     database = _WORKLOADS[args.dataset](scale=args.scale, seed=args.seed)
-    # One monitor covers both sweeps — two independently built monitors
-    # would each reopen (and truncate) the same --metrics-out file.
-    monitor = monitor_from_options(
-        ObservabilityOptions(
-            progress=args.progress, metrics=args.metrics_out
-        )
-    )
-    live = (
-        ObservabilityOptions(monitor=monitor)
-        if monitor is not None else None
-    )
-    try:
-        counts = sweep_pattern_counts(
-            database,
-            args.dataset,
-            args.pers,
-            args.min_ps_values,
-            args.min_recs,
+    # A trace or profile needs per-cell timings, so those imply the
+    # runtime table, and a timed cell must be mined, not derived.
+    timed = bool(args.runtime or args.profile or args.trace_out)
+    result = run_sweep(
+        database,
+        SweepPlan(
+            pers=tuple(args.pers),
+            min_ps_values=tuple(args.min_ps_values),
+            min_recs=tuple(args.min_recs),
             engine=args.engine,
             jobs=args.jobs,
+            derive_min_rec=not timed,
             resilience=_resilience_options(args),
-            observability=live,
-        )
-        print(counts.as_table())
-        # A trace or profile needs per-cell timings, so those imply the
-        # runtime sweep.
-        runtime = None
-        if args.runtime or args.profile or args.trace_out:
-            runtime = sweep_runtime(
-                database,
-                args.dataset,
-                args.pers,
-                args.min_ps_values,
-                args.min_recs,
-                engine=args.engine,
-                jobs=args.jobs,
-                resilience=_resilience_options(args),
-                observability=live,
-            )
-            print()
-            print(runtime.as_table())
-    finally:
-        if monitor is not None:
-            monitor.close()
-    if args.trace_out and runtime is not None:
-        from repro.obs import RUN_SCHEMA, TraceWriter
-
-        with TraceWriter(args.trace_out) as writer:
-            for key in runtime.cells:
-                per, min_ps, min_rec = key
-                phases = runtime.phase_breakdown(per, min_ps, min_rec)
-                writer.write_record({
-                    "schema": RUN_SCHEMA,
-                    "kind": "run",
-                    "engine": args.engine,
-                    "dataset": args.dataset,
-                    "params": {
-                        "per": per, "min_ps": min_ps, "min_rec": min_rec,
-                    },
-                    "patterns_found": int(counts.value(*key)),
-                    "seconds": runtime.value(*key),
-                    "counters": counts.stats[key].as_dict(),
-                    "spans": [
-                        {"name": name, "seconds": seconds}
-                        for name, seconds in phases.items()
-                    ],
-                })
-        print(f"trace written to {args.trace_out}", file=sys.stderr)
-    if args.profile and runtime is not None:
-        totals: dict = {}
-        for key in runtime.cells:
-            for name, seconds in runtime.phase_breakdown(*key).items():
-                totals[name] = totals.get(name, 0.0) + seconds
-        rows = [[name, f"{seconds:.6f}"] for name, seconds in totals.items()]
-        rows.append(["total", f"{sum(totals.values()):.6f}"])
-        print(
-            format_table(
-                ["phase", "seconds"], rows,
-                title=f"{args.dataset}: phase totals over the grid",
-            ),
-            file=sys.stderr,
-        )
+        ),
+        dataset=args.dataset,
+        observability=ObservabilityOptions(
+            trace=args.trace_out,
+            progress=args.progress,
+            metrics=args.metrics_out,
+        ),
+    )
+    print(grid_table(result, "count"))
+    if timed:
+        print()
+        print(grid_table(result, "seconds"))
+    if args.trace_out:
+        print(f"sweep trace written to {args.trace_out}", file=sys.stderr)
+    if args.profile:
+        _print_phase_totals(result)
     return 0
 
 

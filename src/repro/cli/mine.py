@@ -13,7 +13,6 @@ import argparse
 import logging
 import sys
 
-from repro.bench.reporting import format_table
 from repro.core.engines import engine_names
 from repro.core.options import ObservabilityOptions
 from repro.cli._options import (
@@ -23,6 +22,7 @@ from repro.cli._options import (
     _add_progress_flag,
     _load,
     _monitored_call,
+    _print_pattern_table,
     _resilience_options,
     _threshold,
 )
@@ -261,25 +261,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
         found = maximal_patterns(found)
     patterns = found.top(args.top) if args.top else list(found)
-    rows = [
-        (
-            " ".join(str(item) for item in p.sorted_items()),
-            p.support,
-            p.recurrence,
-            ", ".join(str(interval) for interval in p.intervals),
-        )
-        for p in patterns
-    ]
-    print(
-        format_table(
-            ["pattern", "sup", "rec", "interesting periodic-intervals"],
-            rows,
-            title=(
-                f"{len(found)} recurring patterns "
-                f"(per={args.per:g}, minPS={args.min_ps}, "
-                f"minRec={args.min_rec})"
-            ),
-        )
+    _print_pattern_table(
+        patterns,
+        f"{len(found)} recurring patterns "
+        f"(per={args.per:g}, minPS={args.min_ps}, minRec={args.min_rec})",
     )
     if args.timeline and patterns and len(database):
         from repro.viz import render_timeline

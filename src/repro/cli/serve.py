@@ -12,11 +12,11 @@ import argparse
 import io
 import sys
 
-from repro.bench.reporting import format_table
 from repro.core.engines import engine_names
 from repro.cli._options import (
     _WORKLOADS,
     _add_logging_flag,
+    _print_pattern_table,
     _threshold,
 )
 
@@ -172,24 +172,10 @@ def _print_patterns(result: dict, top: int) -> None:
 
     found = load_patterns(io.StringIO(result["patterns_tsv"]))
     patterns = found.top(top) if top else list(found)
-    rows = [
-        (
-            " ".join(str(item) for item in p.sorted_items()),
-            p.support,
-            p.recurrence,
-            ", ".join(str(interval) for interval in p.intervals),
-        )
-        for p in patterns
-    ]
-    print(
-        format_table(
-            ["pattern", "sup", "rec", "interesting periodic-intervals"],
-            rows,
-            title=(
-                f"{len(found)} recurring patterns "
-                f"(job {result['id']}, cache: {result['cache']})"
-            ),
-        )
+    _print_pattern_table(
+        patterns,
+        f"{len(found)} recurring patterns "
+        f"(job {result['id']}, cache: {result['cache']})",
     )
 
 

@@ -6,13 +6,13 @@ import argparse
 import sys
 import time
 
-from repro.bench.reporting import format_table
 from repro.core.engines import engine_names
 from repro.core.options import ObservabilityOptions
 from repro.cli._options import (
     _add_jobs_flag,
     _add_logging_flag,
     _add_progress_flag,
+    _print_pattern_table,
     _resilience_options,
     _threshold,
 )
@@ -103,25 +103,11 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         if monitor is not None:
             monitor.close()
     patterns = found.top(args.top) if args.top else list(found)
-    rows = [
-        (
-            " ".join(str(item) for item in p.sorted_items()),
-            p.support,
-            p.recurrence,
-            ", ".join(str(interval) for interval in p.intervals),
-        )
-        for p in patterns
-    ]
-    print(
-        format_table(
-            ["pattern", "sup", "rec", "interesting periodic-intervals"],
-            rows,
-            title=(
-                f"{len(found)} recurring patterns "
-                f"(per={args.per:g}, minPS={args.min_ps}, "
-                f"minRec={args.min_rec}, out-of-core)"
-            ),
-        )
+    _print_pattern_table(
+        patterns,
+        f"{len(found)} recurring patterns "
+        f"(per={args.per:g}, minPS={args.min_ps}, "
+        f"minRec={args.min_rec}, out-of-core)",
     )
     bound = args.max_events or DEFAULT_MAX_TRANSACTIONS
     print(

@@ -15,6 +15,7 @@ from repro.cli._options import (
     _add_profiling_flags,
     _add_progress_flag,
     _load,
+    _print_phase_totals,
     _resilience_options,
     _threshold,
 )
@@ -130,19 +131,5 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.trace_out:
         print(f"sweep trace written to {args.trace_out}", file=sys.stderr)
     if args.profile:
-        totals: dict = {"transform": result.transform_seconds}
-        for key in plan.cells():
-            for name, seconds in result.phase_breakdown(*key).items():
-                totals[name] = totals.get(name, 0.0) + seconds
-        prows = [
-            [name, f"{seconds:.6f}"] for name, seconds in totals.items()
-        ]
-        prows.append(["total", f"{result.seconds:.6f}"])
-        print(
-            format_table(
-                ["phase", "seconds"], prows,
-                title=f"{dataset}: phase totals over the grid",
-            ),
-            file=sys.stderr,
-        )
+        _print_phase_totals(result)
     return 0

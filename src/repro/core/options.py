@@ -103,16 +103,15 @@ class ObservabilityOptions:
         Path (or open text handle) for periodic ``repro-metrics/v1``
         snapshot records (see :mod:`repro.obs.metrics`).  ``None``
         (default) disables metrics emission.
-    metrics_interval:
-        Minimum seconds between two metrics snapshots (default 1.0).
-    stale_after:
-        Seconds of worker-heartbeat silence before the supervisor
-        reports a stale worker (default 10.0; parallel runs only).
     monitor:
         An injected :class:`~repro.obs.progress.MiningMonitor` used
         *instead* of building one from the flags above — the caller
-        then owns its lifecycle (tests, the bench harness, a future
-        service).
+        then owns its lifecycle (tests, an application sharing one
+        monitor across runs).  A monitor built from the flags uses
+        the defaults of :class:`~repro.obs.metrics.MetricsEmitter`
+        (one snapshot per second at most) and
+        :class:`~repro.obs.progress.MiningMonitor` (a worker silent
+        for 10 s is stale).
 
     Examples
     --------
@@ -128,25 +127,9 @@ class ObservabilityOptions:
     dataset: Optional[str] = None
     progress: Optional[bool] = None
     metrics: Union[str, IO[str], None] = None
-    metrics_interval: float = 1.0
-    stale_after: float = 10.0
     monitor: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.metrics_interval, bool) or not isinstance(
-            self.metrics_interval, (int, float)
-        ) or self.metrics_interval <= 0:
-            raise ParameterError(
-                f"metrics_interval must be a positive number, "
-                f"got {self.metrics_interval!r}"
-            )
-        if isinstance(self.stale_after, bool) or not isinstance(
-            self.stale_after, (int, float)
-        ) or self.stale_after <= 0:
-            raise ParameterError(
-                f"stale_after must be a positive number, "
-                f"got {self.stale_after!r}"
-            )
         if self.progress is not None and not isinstance(
             self.progress, bool
         ):

@@ -354,10 +354,6 @@ class MiningRequest:
         """The cache column — everything ``min_rec`` derivation shares."""
         return (dataset_digest, self.engine, self.per, self.min_ps)
 
-    def with_source(self, source: Optional[DatasetRef]) -> "MiningRequest":
-        """A copy of this request referencing ``source``."""
-        return replace(self, source=source)
-
     def with_thresholds(
         self,
         per: Optional[Number] = None,

@@ -446,13 +446,5 @@ def monitor_from_options(
     reporter = ProgressReporter() if progress else None
     emitter = None
     if metrics is not None:
-        emitter = MetricsEmitter(
-            MetricsRegistry(),
-            metrics,
-            interval=getattr(options, "metrics_interval", 1.0),
-        )
-    return MiningMonitor(
-        reporter=reporter,
-        emitter=emitter,
-        stale_after=getattr(options, "stale_after", 10.0),
-    )
+        emitter = MetricsEmitter(MetricsRegistry(), metrics)
+    return MiningMonitor(reporter=reporter, emitter=emitter)

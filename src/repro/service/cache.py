@@ -138,9 +138,13 @@ class ResultCache:
         dataset_digest: str,
         patterns: RecurringPatternSet,
         record: Dict[str, object],
-    ) -> None:
-        """Cache a freshly mined cell, evicting LRU entries if full."""
+    ) -> int:
+        """Cache a freshly mined cell, evicting LRU entries if full.
+
+        Returns the number of entries this call evicted.
+        """
         key = request.cache_key(dataset_digest)
+        evicted = 0
         with self._lock:
             self._entries[key] = CacheEntry(
                 patterns=patterns, record=dict(record)
@@ -148,7 +152,9 @@ class ResultCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-                self.evictions += 1
+                evicted += 1
+            self.evictions += evicted
+        return evicted
 
     def lookup_digest(self, raw_digest: str) -> Optional[str]:
         """The canonical digest recorded for ``raw_digest``, if any."""

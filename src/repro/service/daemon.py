@@ -99,7 +99,6 @@ class MiningService:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._semaphore: Optional[asyncio.Semaphore] = None
         self._tasks: Set[asyncio.Task] = set()
-        self._evictions_exported = 0
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
@@ -337,8 +336,11 @@ class MiningService:
                 record["cache"] = "miss"
                 job.cache = "miss"
                 self._counter("repro_service_cache_miss_total").inc()
-                self.cache.put(request, digest, patterns, record)
-                self._sync_eviction_counter()
+                evicted = self.cache.put(request, digest, patterns, record)
+                if evicted:
+                    self._counter(
+                        "repro_service_cache_evictions_total"
+                    ).inc(evicted)
             buffer = io.StringIO()
             save_patterns(patterns, buffer)
             job.patterns_tsv = buffer.getvalue()
@@ -362,16 +364,6 @@ class MiningService:
     # -- observability -------------------------------------------------
     def _counter(self, name: str, labels: Optional[Dict[str, str]] = None):
         return self.registry.counter(name, labels)
-
-    def _sync_eviction_counter(self) -> None:
-        with self._trace_lock:
-            evictions = self.cache.stats()["evictions"]
-            delta = evictions - self._evictions_exported
-            if delta > 0:
-                self._counter(
-                    "repro_service_cache_evictions_total"
-                ).inc(delta)
-                self._evictions_exported = evictions
 
     def _write_trace(self, record: Dict[str, object]) -> None:
         if self._trace_writer is None:

@@ -124,10 +124,6 @@ class ShardPlanner:
             cuts.append(timestamps[offset - 1])
         return ShardPlan(tuple(cuts), sizes)
 
-    def plan_database(self, database: TransactionalDatabase) -> ShardPlan:
-        """Plan over a database's transaction timestamps."""
-        return self.plan([transaction.ts for transaction in database])
-
 
 def plan_with_cuts(
     timestamps: Sequence[float], cuts: Sequence[float]

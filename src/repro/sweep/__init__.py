@@ -20,9 +20,9 @@ with three reuse layers instead:
 Entry points: build a :class:`~repro.sweep.plan.SweepPlan`, call
 :func:`~repro.sweep.engine.run_sweep`, read the
 :class:`~repro.sweep.engine.SweepResult` (or its ``repro-sweep/v1``
-record).  The CLI spelling is ``repro-mine sweep``; the bench harness
-(:mod:`repro.bench.harness`) regenerates the paper's tables and
-figures through this engine.
+record).  The CLI spelling is ``repro-mine sweep``; ``repro-mine
+bench`` and the Table 5/7 and Figure 7/9 benches run this engine and
+render its result with :mod:`repro.bench.harness`.
 """
 
 from repro.sweep.engine import SweepResult, run_sweep

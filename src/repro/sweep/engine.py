@@ -41,7 +41,7 @@ The result is **byte-identical** to mining every cell independently
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro._validation import Number
@@ -71,7 +71,9 @@ class SweepResult:
     counters (``cells_mined`` / ``cells_derived`` / ``scans_shared``)
     say how the sweep earned its speedup.  ``seconds_by_cell`` is the
     cost actually paid per cell — a mine for mined cells (best of
-    ``plan.repeats``), a recurrence filter for derived ones.
+    ``plan.repeats``), a recurrence filter for derived ones — and
+    ``stats`` counts the same work, so a derived cell's engine
+    counters are zero.
     """
 
     plan: SweepPlan
@@ -81,7 +83,6 @@ class SweepResult:
     )
     stats: Dict[GridKey, MiningStats] = field(default_factory=dict)
     seconds_by_cell: Dict[GridKey, float] = field(default_factory=dict)
-    phases: Dict[GridKey, Dict[str, float]] = field(default_factory=dict)
     span_trees: Dict[GridKey, Tuple[Span, ...]] = field(
         default_factory=dict
     )
@@ -116,7 +117,10 @@ class SweepResult:
         self, per: Number, min_ps: Union[int, float], min_rec: int
     ) -> Dict[str, float]:
         """Seconds per phase of one cell (best execution)."""
-        return dict(self.phases.get((per, min_ps, min_rec), {}))
+        return {
+            root.name: root.seconds
+            for root in self.span_trees.get((per, min_ps, min_rec), ())
+        }
 
     # ------------------------------------------------------------------
     # The repro-sweep/v1 record
@@ -366,9 +370,6 @@ def _mine_cell(
     result.patterns[key] = found
     result.stats[key] = stats
     result.seconds_by_cell[key] = best_root.seconds
-    result.phases[key] = {
-        child.name: child.seconds for child in best_root.children
-    }
     result.span_trees[key] = tuple(best_root.children)
     result.derived_from[key] = None
     result.cells_mined += 1
@@ -383,13 +384,10 @@ def _derive_cell(
     derived = result.patterns[base_key].filter(min_recurrence=min_rec)
     seconds = time.perf_counter() - started
     result.patterns[key] = derived
-    # The engine counters describe the one mine that served the whole
-    # column; only patterns_found is specific to this cell.
-    result.stats[key] = replace(
-        result.stats[base_key], patterns_found=len(derived)
-    )
+    # The filter mined nothing: the column's one mine is counted on its
+    # base cell, which derived_from names.
+    result.stats[key] = MiningStats(patterns_found=len(derived))
     result.seconds_by_cell[key] = seconds
-    result.phases[key] = {"derive": seconds}
     result.span_trees[key] = (
         Span(name="derive", started=0.0, seconds=seconds),
     )

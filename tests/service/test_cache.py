@@ -11,6 +11,8 @@ random databases.
 
 import io
 import random
+import sys
+import threading
 
 import pytest
 
@@ -151,6 +153,51 @@ def test_a_hit_refreshes_recency(running_example):
     cache.put(c, digest, patterns, {})  # evicts b, not a
     assert cache.get(a, digest) is not None
     assert cache.get(b, digest) is None
+
+
+def test_put_returns_its_own_evictions(running_example):
+    digest = running_example.digest()
+    cache = ResultCache(max_entries=1)
+    a = MiningRequest(per=1, min_ps=3)
+    b = MiningRequest(per=2, min_ps=3)
+    patterns = _mine(running_example, a)
+    assert cache.put(a, digest, patterns, {}) == 0
+    assert cache.put(a, digest, patterns, {}) == 0  # a replace
+    assert cache.put(b, digest, patterns, {}) == 1
+    assert cache.stats()["evictions"] == 1
+
+
+def test_concurrent_puts_report_every_eviction_once(running_example):
+    digest = running_example.digest()
+    patterns = _mine(running_example, MiningRequest(per=1, min_ps=3))
+    cache = ResultCache(max_entries=3)
+    threads, per_thread = 8, 50
+    reported = [0] * threads
+
+    def worker(index):
+        for n in range(per_thread):
+            per = 1 + index * per_thread + n
+            request = MiningRequest(per=per, min_ps=3)
+            reported[index] += cache.put(request, digest, patterns, {})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(threads)
+        ]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in pool)
+    finally:
+        sys.setswitchinterval(interval)
+    # Every key is distinct, so all but max_entries puts evict one.
+    expected = threads * per_thread - 3
+    assert sum(reported) == expected
+    assert cache.stats()["evictions"] == expected
 
 
 def test_digest_memo_is_lru_within_max_entries():

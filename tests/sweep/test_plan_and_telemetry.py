@@ -1,9 +1,11 @@
 """SweepPlan validation and repro-sweep/v1 telemetry round-trips."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.core.miner import execute_request
 from repro.exceptions import ParameterError
 from repro.obs import read_trace, validate_sweep_record
 from repro.core.options import ObservabilityOptions, ResilienceOptions
@@ -150,3 +152,40 @@ class TestSweepRecord:
         )
         assert result.cells_total == 1
         assert result.seconds_by_cell[(2, 3, 2)] > 0
+
+
+class TestCellCounters:
+    """A cell's engine counters describe the work done for that cell."""
+
+    def test_derived_cells_count_no_engine_work(self):
+        result = run_sweep(
+            paper_running_example(),
+            SweepPlan(pers=(2,), min_ps_values=(3,), min_recs=(1, 2, 3)),
+        )
+        for key in ((2, 3, 2), (2, 3, 3)):
+            assert result.derived_from[key] == (2, 3, 1)
+            counters = result.stats[key].as_dict()
+            assert counters.pop("patterns_found") == len(result.patterns[key])
+            assert set(counters.values()) == {0}, key
+        record = result.as_record()
+        assert [c["counters"]["erec_evaluations"] for c in record["cells"]] \
+            == [result.stats[(2, 3, 1)].erec_evaluations, 0, 0]
+
+    @pytest.mark.parametrize("derive", [True, False])
+    @pytest.mark.parametrize("engine", ["rp-growth", "rp-eclat-vec"])
+    def test_mined_cells_match_a_direct_mine(self, engine, derive):
+        database = paper_running_example()
+        plan = SweepPlan(
+            pers=(1, 2), min_ps_values=(2, 3), min_recs=(1, 2),
+            engine=engine, derive_min_rec=derive,
+        )
+        result = run_sweep(database, plan)
+        mined = [k for k in plan.cells() if result.derived_from[k] is None]
+        assert len(mined) == result.cells_mined
+        for key in mined:
+            request = replace(
+                plan.cell_request(key),
+                observability=ObservabilityOptions(collect_stats=True),
+            )
+            _found, telemetry = execute_request(request, database)
+            assert result.stats[key] == telemetry.stats, key

@@ -135,23 +135,63 @@ class TestBaselineProfile:
 
 
 class TestBenchTrace:
-    def test_trace_out_emits_one_run_record_per_cell(self, tmp_path, capsys):
+    def test_trace_out_writes_one_sweep_record(self, tmp_path, capsys):
+        from repro.obs.report import validate_sweep_record
+
         trace = tmp_path / "bench.jsonl"
+        metrics = tmp_path / "metrics.jsonl"
         code = main([
             "bench", "--dataset", "quest", "--scale", "0.005",
             "--pers", "10", "50", "--min-ps", "0.01", "--min-recs", "1",
-            "--trace-out", str(trace), "--profile",
+            "2", "--runtime", "--trace-out", str(trace),
+            "--metrics-out", str(metrics),
         ])
         captured = capsys.readouterr()
         assert code == 0
-        assert "quest: seconds" in captured.out  # runtime sweep implied
-        assert "phase totals" in captured.err
+        assert "quest: count" in captured.out
+        assert "quest: seconds" in captured.out
         records = read_trace(str(trace))
-        assert len(records) == 2  # one per (per, min_ps, min_rec) cell
-        for record in records:
-            validate_run_record(record)
-            assert record["dataset"] == "quest"
-            assert any(s["name"] == "mine" for s in record["spans"])
+        assert len(records) == 1  # the sweep's own record, nothing more
+        record = records[0]
+        validate_sweep_record(record)
+        assert record["kind"] == "sweep"
+        assert record["dataset"] == "quest"
+        # Timing needs every cell mined, none derived.
+        assert record["counters"]["cells_mined"] == 4
+        assert record["counters"]["cells_total"] == 4
+        for cell in record["cells"]:
+            assert not cell["derived"]
+            assert any(s["name"] == "mine" for s in cell["spans"])
+        counters = {
+            e["name"]: e["value"]
+            for e in read_trace(str(metrics))[-1]["counters"]
+        }
+        assert counters["repro_sweep_cells_mined_total"] == 4
+
+    def test_profile_prints_phase_totals(self, capsys):
+        code = main([
+            "bench", "--dataset", "quest", "--scale", "0.005",
+            "--pers", "10", "50", "--min-ps", "0.01", "--min-recs", "1",
+            "--profile",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "quest: seconds" in captured.out  # runtime table implied
+        assert "quest: phase totals over the grid" in captured.err
+        assert "transform" in captured.err
+
+    def test_timing_keeps_the_count_table(self, capsys):
+        argv = [
+            "bench", "--dataset", "quest", "--scale", "0.005",
+            "--pers", "10", "50", "--min-ps", "0.01", "--min-recs", "1",
+            "2", "3",
+        ]
+        assert main(argv) == 0
+        derived = capsys.readouterr().out
+        assert main([*argv, "--runtime"]) == 0
+        mined = capsys.readouterr().out
+        # Mined and derived cells count the same patterns.
+        assert mined.startswith(derived)
 
 
 class TestProgressFlag:
@@ -253,9 +293,7 @@ class TestMetricsOut:
         assert "repro_mining_patterns_found_total" in names
         assert "repro_runs_total" in names
 
-    def test_bench_metrics_out_single_file_both_sweeps(
-        self, tmp_path, capsys
-    ):
+    def test_bench_metrics_out_counts_one_sweep(self, tmp_path, capsys):
         from repro.obs.metrics import validate_metrics_record
 
         metrics = tmp_path / "metrics.jsonl"
@@ -270,12 +308,11 @@ class TestMetricsOut:
         assert records
         for record in records:
             validate_metrics_record(record)
-        # One shared monitor: the final snapshot accumulates both the
-        # count sweep and the runtime sweep (2 cells + repeats).
+        # One sweep over a one-cell grid: one mined cell, not two.
         counters = {
             e["name"]: e["value"] for e in records[-1]["counters"]
         }
-        assert counters.get("repro_sweep_cells_mined_total", 0) >= 2
+        assert counters["repro_sweep_cells_mined_total"] == 1
 
 
 class TestTraceSubcommand:
