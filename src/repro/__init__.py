@@ -18,52 +18,51 @@ Quickstart
 8
 """
 
-from repro.core.condensed import (
-    closed_patterns,
-    maximal_patterns,
-    top_k_patterns,
-)
-from repro.core.engines import (
-    EngineSpec,
-    engine_names,
-    get_engine,
-    register_engine,
-)
-from repro.core.miner import execute_request, mine_recurring_patterns
-from repro.core.options import ObservabilityOptions, ResilienceOptions
-from repro.core.request import DatasetRef, MiningRequest
-from repro.core.model import (
-    MiningParameters,
-    PeriodicInterval,
-    RecurringPattern,
-    RecurringPatternSet,
-)
-from repro.core.naive import mine_recurring_patterns_naive
-from repro.core.noise import NoiseTolerantMiner, mine_noise_tolerant_patterns
-from repro.core.periods import suggest_per
-from repro.core.rp_growth import RPGrowth
-from repro.core.rules import RecurringRule, SeasonalRecommender, derive_rules
-from repro.core.targeted import mine_patterns_containing
-from repro.obs import MiningStats, MiningTelemetry, SpanCollector, span
-from repro.parallel import ParallelMiner
-from repro.streaming import (
-    CalendarPeriod,
-    CalendarRecurrenceMonitor,
-    ShardedMonitorRegistry,
-    StreamingRecurrenceMonitor,
-    mine_calendar_patterns,
-)
-from repro.sweep import SweepPlan, SweepResult, run_sweep
-from repro.exceptions import (
-    ChunkFailedError,
-    DataFormatError,
-    EmptyDatabaseError,
-    ParameterError,
-    ReproError,
-    SearchSpaceError,
-)
-from repro.timeseries.database import Transaction, TransactionalDatabase
-from repro.timeseries.events import Event, EventSequence
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.condensed": (
+        "closed_patterns", "maximal_patterns", "top_k_patterns",
+    ),
+    "repro.core.engines": (
+        "EngineSpec", "engine_names", "get_engine", "register_engine",
+    ),
+    "repro.core.miner": ("execute_request", "mine_recurring_patterns"),
+    "repro.core.options": ("ObservabilityOptions", "ResilienceOptions"),
+    "repro.core.request": ("DatasetRef", "MiningRequest"),
+    "repro.core.model": (
+        "MiningParameters", "PeriodicInterval", "RecurringPattern",
+        "RecurringPatternSet",
+    ),
+    "repro.core.naive": ("mine_recurring_patterns_naive",),
+    "repro.core.noise": (
+        "NoiseTolerantMiner", "mine_noise_tolerant_patterns",
+    ),
+    "repro.core.periods": ("suggest_per",),
+    "repro.core.rp_growth": ("RPGrowth",),
+    "repro.core.rules": (
+        "RecurringRule", "SeasonalRecommender", "derive_rules",
+    ),
+    "repro.core.targeted": ("mine_patterns_containing",),
+    "repro.obs.counters": ("MiningStats",),
+    "repro.obs.report": ("MiningTelemetry",),
+    "repro.obs.spans": ("SpanCollector", "span"),
+    "repro.parallel.miner": ("ParallelMiner",),
+    "repro.streaming.calendar": (
+        "CalendarPeriod", "CalendarRecurrenceMonitor",
+        "mine_calendar_patterns",
+    ),
+    "repro.streaming.monitor": ("StreamingRecurrenceMonitor",),
+    "repro.streaming.registry": ("ShardedMonitorRegistry",),
+    "repro.sweep.engine": ("SweepResult", "run_sweep"),
+    "repro.sweep.plan": ("SweepPlan",),
+    "repro.exceptions": (
+        "ChunkFailedError", "DataFormatError", "EmptyDatabaseError",
+        "ParameterError", "ReproError", "SearchSpaceError",
+    ),
+    "repro.timeseries.database": ("Transaction", "TransactionalDatabase"),
+    "repro.timeseries.events": ("Event", "EventSequence"),
+})
 
 __version__ = "1.0.0"
 

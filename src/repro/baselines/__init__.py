@@ -13,26 +13,26 @@
   detection in :mod:`repro.baselines.period_detection`.
 """
 
-from repro.baselines.apriori import mine_frequent_patterns_apriori
-from repro.baselines.async_periodic import (
-    AsyncPeriodicPattern,
-    mine_async_periodic_patterns,
-)
-from repro.baselines.fp_growth import mine_frequent_patterns
-from repro.baselines.model import (
-    FrequentPattern,
-    PatternCollection,
-    PeriodicFrequentPattern,
-    PPattern,
-)
-from repro.baselines.partial_periodic import (
-    PartialPeriodicPattern,
-    mine_partial_periodic_patterns,
-)
-from repro.baselines.period_detection import detect_periods
-from repro.baselines.pf_growth import mine_periodic_frequent_patterns
-from repro.baselines.pf_tree import mine_periodic_frequent_patterns_tree
-from repro.baselines.ppattern import mine_p_patterns
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.apriori": ("mine_frequent_patterns_apriori",),
+    "repro.baselines.async_periodic": (
+        "AsyncPeriodicPattern", "mine_async_periodic_patterns",
+    ),
+    "repro.baselines.fp_growth": ("mine_frequent_patterns",),
+    "repro.baselines.model": (
+        "FrequentPattern", "PatternCollection", "PeriodicFrequentPattern",
+        "PPattern",
+    ),
+    "repro.baselines.partial_periodic": (
+        "PartialPeriodicPattern", "mine_partial_periodic_patterns",
+    ),
+    "repro.baselines.period_detection": ("detect_periods",),
+    "repro.baselines.pf_growth": ("mine_periodic_frequent_patterns",),
+    "repro.baselines.pf_tree": ("mine_periodic_frequent_patterns_tree",),
+    "repro.baselines.ppattern": ("mine_p_patterns",),
+})
 
 __all__ = [
     "FrequentPattern",

@@ -10,18 +10,17 @@
   renderers used by the benchmark scripts and the CLI.
 """
 
-from repro.bench.harness import (
-    ComparisonResult,
-    compare_models,
-    grid_figure,
-    grid_table,
-)
-from repro.bench.reporting import format_series, format_table
-from repro.bench.workloads import (
-    clickstream_workload,
-    quest_workload,
-    twitter_workload,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bench.harness": (
+        "ComparisonResult", "compare_models", "grid_figure", "grid_table",
+    ),
+    "repro.bench.reporting": ("format_series", "format_table"),
+    "repro.bench.workloads": (
+        "clickstream_workload", "quest_workload", "twitter_workload",
+    ),
+})
 
 __all__ = [
     "ComparisonResult",

@@ -14,7 +14,10 @@ Twitter        177 120 (123 d)  1 000   minute hashtag stream
 ``scale=1.0`` is paper scale.  The benchmark defaults use a reduced
 scale so a pure-Python sweep finishes in seconds; EXPERIMENTS.md records
 which scale each recorded run used.  Databases are cached per
-configuration, so a parameter sweep pays generation cost once.
+configuration, so a parameter sweep pays generation cost once.  Each
+factory imports its generator (and with it NumPy) on its first call,
+so naming the workloads, as the CLI's ``--dataset`` choices do, costs
+nothing.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro._validation import check_positive
-from repro.datasets.clickstream import ClickstreamConfig, generate_clickstream
-from repro.datasets.quest import QuestConfig, generate_quest
-from repro.datasets.twitter import TwitterConfig, generate_twitter
 from repro.timeseries.database import TransactionalDatabase
 
 __all__ = [
@@ -47,6 +47,8 @@ def quest_workload(
     scale: float = DEFAULT_SCALE, seed: int = 0
 ) -> TransactionalDatabase:
     """The T10I4D100K stand-in at the given scale."""
+    from repro.datasets.quest import QuestConfig, generate_quest
+
     check_positive(scale, "scale")
     return generate_quest(
         QuestConfig(
@@ -67,6 +69,11 @@ def clickstream_workload(
     clipped, so the config swaps in two short early windows to keep the
     seasonal structure present.
     """
+    from repro.datasets.clickstream import (
+        ClickstreamConfig,
+        generate_clickstream,
+    )
+
     check_positive(scale, "scale")
     days = max(2, round(PAPER_SHOP14_DAYS * scale))
     if days >= 37:
@@ -92,6 +99,8 @@ def twitter_workload(
     Below paper scale the default burst windows are re-anchored
     proportionally so every Table 6 burst survives truncation.
     """
+    from repro.datasets.twitter import TwitterConfig, generate_twitter
+
     check_positive(scale, "scale")
     days = max(4, round(PAPER_TWITTER_DAYS * scale))
     if days >= 75:

@@ -16,42 +16,37 @@ This subpackage is the paper's primary contribution:
   :func:`~repro.core.miner.mine_recurring_patterns`.
 """
 
-from repro.core.condensed import (
-    closed_patterns,
-    maximal_patterns,
-    top_k_patterns,
-)
-from repro.core.intervals import (
-    estimated_recurrence,
-    inter_arrival_times,
-    interesting_intervals,
-    periodic_intervals,
-    recurrence,
-)
-from repro.core.miner import mine_recurring_patterns
-from repro.core.periods import (
-    PerSuggestion,
-    significant_periods,
-    suggest_per,
-)
-from repro.core.noise import (
-    FaultTolerantInterval,
-    NoiseTolerantMiner,
-    fault_tolerant_intervals,
-    fault_tolerant_recurrence,
-    mine_noise_tolerant_patterns,
-)
-from repro.core.rules import RecurringRule, SeasonalRecommender, derive_rules
-from repro.core.targeted import mine_patterns_containing
-from repro.core.model import (
-    MiningParameters,
-    PeriodicInterval,
-    RecurringPattern,
-    RecurringPatternSet,
-)
-from repro.core.naive import mine_recurring_patterns_naive
-from repro.core.rp_growth import RPGrowth
-from repro.core.rp_list import RPList, RPListEntry, build_rp_list
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.condensed": (
+        "closed_patterns", "maximal_patterns", "top_k_patterns",
+    ),
+    "repro.core.intervals": (
+        "estimated_recurrence", "inter_arrival_times", "interesting_intervals",
+        "periodic_intervals", "recurrence",
+    ),
+    "repro.core.miner": ("mine_recurring_patterns",),
+    "repro.core.periods": (
+        "PerSuggestion", "significant_periods", "suggest_per",
+    ),
+    "repro.core.noise": (
+        "FaultTolerantInterval", "NoiseTolerantMiner",
+        "fault_tolerant_intervals", "fault_tolerant_recurrence",
+        "mine_noise_tolerant_patterns",
+    ),
+    "repro.core.rules": (
+        "RecurringRule", "SeasonalRecommender", "derive_rules",
+    ),
+    "repro.core.targeted": ("mine_patterns_containing",),
+    "repro.core.model": (
+        "MiningParameters", "PeriodicInterval", "RecurringPattern",
+        "RecurringPatternSet",
+    ),
+    "repro.core.naive": ("mine_recurring_patterns_naive",),
+    "repro.core.rp_growth": ("RPGrowth",),
+    "repro.core.rp_list": ("RPList", "RPListEntry", "build_rp_list"),
+})
 
 __all__ = [
     "inter_arrival_times",

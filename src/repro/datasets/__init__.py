@@ -7,20 +7,23 @@ stand-ins (see the substitution table in DESIGN.md) plus the paper's
 running example and a planted-pattern generator with ground truth.
 """
 
-from repro.datasets.clickstream import ClickstreamConfig, generate_clickstream
-from repro.datasets.noise import apply_dropout, apply_jitter
-from repro.datasets.planted import (
-    PlantedBurst,
-    PlantedWorkload,
-    generate_planted_workload,
-)
-from repro.datasets.quest import QuestConfig, generate_quest
-from repro.datasets.running_example import (
-    paper_running_example,
-    paper_running_example_events,
-    paper_table2_patterns,
-)
-from repro.datasets.twitter import TwitterConfig, generate_twitter
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.datasets.clickstream": (
+        "ClickstreamConfig", "generate_clickstream",
+    ),
+    "repro.datasets.noise": ("apply_dropout", "apply_jitter"),
+    "repro.datasets.planted": (
+        "PlantedBurst", "PlantedWorkload", "generate_planted_workload",
+    ),
+    "repro.datasets.quest": ("QuestConfig", "generate_quest"),
+    "repro.datasets.running_example": (
+        "paper_running_example", "paper_running_example_events",
+        "paper_table2_patterns",
+    ),
+    "repro.datasets.twitter": ("TwitterConfig", "generate_twitter"),
+})
 
 __all__ = [
     "paper_running_example",

@@ -26,42 +26,30 @@ friends) to :func:`repro.mine_recurring_patterns`, or ``--profile`` /
 public and composable.
 """
 
-from repro.obs.analyze import (
-    TraceAnalysis,
-    analyze_trace,
-    render_analysis,
-    render_comparison,
-    render_span_tree,
-)
-from repro.obs.counters import MiningStats, StatsSource
-from repro.obs.memory import MemoryTracker, peak_memory
-from repro.obs.metrics import (
-    METRICS_SCHEMA,
-    MetricsEmitter,
-    MetricsRegistry,
-    publish_mining_stats,
-    render_prometheus,
-    validate_metrics_record,
-)
-from repro.obs.progress import (
-    MiningMonitor,
-    ProgressReporter,
-    ProgressTracker,
-    StaleWorkerReport,
-    monitor_from_options,
-)
-from repro.obs.report import (
-    RUN_SCHEMA,
-    SWEEP_SCHEMA,
-    MiningTelemetry,
-    TraceWriter,
-    iter_trace,
-    profile_call,
-    read_trace,
-    validate_run_record,
-    validate_sweep_record,
-)
-from repro.obs.spans import Span, SpanCollector, current_collector, span
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.analyze": (
+        "TraceAnalysis", "analyze_trace", "render_analysis",
+        "render_comparison", "render_span_tree",
+    ),
+    "repro.obs.counters": ("MiningStats", "StatsSource"),
+    "repro.obs.memory": ("MemoryTracker", "peak_memory"),
+    "repro.obs.metrics": (
+        "METRICS_SCHEMA", "MetricsEmitter", "MetricsRegistry",
+        "publish_mining_stats", "render_prometheus", "validate_metrics_record",
+    ),
+    "repro.obs.progress": (
+        "MiningMonitor", "ProgressReporter", "ProgressTracker",
+        "StaleWorkerReport", "monitor_from_options",
+    ),
+    "repro.obs.report": (
+        "RUN_SCHEMA", "SWEEP_SCHEMA", "MiningTelemetry", "TraceWriter",
+        "iter_trace", "profile_call", "read_trace", "validate_run_record",
+        "validate_sweep_record",
+    ),
+    "repro.obs.spans": ("Span", "SpanCollector", "current_collector", "span"),
+})
 
 __all__ = [
     "MiningStats",

@@ -127,14 +127,22 @@ class TraceAnalysis:
             return roots
         return _tree_from_span_lines(self.span_lines)
 
-    def phase_totals(self) -> Dict[str, float]:
-        """Summed seconds per span name, first-seen order."""
+    def phase_totals(self, exclusive: bool = False) -> Dict[str, float]:
+        """Summed seconds per span name, first-seen order.
+
+        By default each span counts its whole (inclusive) time, so a
+        name nested inside another is counted at both levels; this is
+        what ``--compare`` sets side by side.  With ``exclusive=True``
+        each span counts only its self time (its seconds minus its
+        children's), so the totals add up to the roots' seconds.
+        """
         totals: Dict[str, float] = {}
         for root in self.span_roots():
             for _, item in root.walk():
-                totals[item.name] = (
-                    totals.get(item.name, 0.0) + item.seconds
-                )
+                seconds = item.seconds
+                if exclusive:
+                    seconds -= sum(child.seconds for child in item.children)
+                totals[item.name] = totals.get(item.name, 0.0) + seconds
         return totals
 
     def total_seconds(self) -> float:
@@ -242,9 +250,11 @@ def render_analysis(analysis: TraceAnalysis) -> str:
     if roots:
         sections.append("span tree:\n" + render_span_tree(roots))
 
-    totals = analysis.phase_totals()
+    # Self time per name: the shares add to 100% of the roots' total.
+    # A sweep cell's synthetic root keeps only what its spans miss.
+    totals = analysis.phase_totals(exclusive=True)
     if totals:
-        grand = sum(totals.values())
+        grand = sum(root.seconds for root in roots)
         rows = [
             [
                 name,
@@ -257,7 +267,7 @@ def render_analysis(analysis: TraceAnalysis) -> str:
         ]
         sections.append(
             format_table(
-                ["phase", "seconds", "share"], rows,
+                ["phase", "self seconds", "share"], rows,
                 title="per-phase aggregate",
             )
         )

@@ -22,10 +22,14 @@ pool-lifecycle control.  ``jobs=1`` is always the serial engine,
 byte-identical to not using this package at all.
 """
 
-from repro.exceptions import ChunkFailedError
-from repro.parallel.faults import FAULT_KINDS, FaultPlan, FaultSpec
-from repro.parallel.miner import ParallelMiner, default_jobs, plan_chunks
-from repro.parallel.resilience import FaultEvent, supervise
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.exceptions": ("ChunkFailedError",),
+    "repro.parallel.faults": ("FAULT_KINDS", "FaultPlan", "FaultSpec"),
+    "repro.parallel.miner": ("ParallelMiner", "default_jobs", "plan_chunks"),
+    "repro.parallel.resilience": ("FaultEvent", "supervise"),
+})
 
 __all__ = [
     "ParallelMiner",

@@ -24,39 +24,25 @@ See ``docs/testing.md`` for the catalog of relations with their
 paper-definition justifications and the golden refresh workflow.
 """
 
-from repro.qa.differential import (
-    BASE_SEED,
-    CaseParams,
-    DifferentialFailure,
-    DifferentialResult,
-    canonical,
-    format_reproducer,
-    mine_canonical,
-    minimize_case,
-    random_params,
-    random_rows,
-    run_differential,
-)
-from repro.qa.gate import QAConfig, QAReport, run_qa
-from repro.qa.golden import (
-    GOLDEN_CASES,
-    GoldenCase,
-    GoldenResult,
-    golden_diff,
-    run_goldens,
-    update_goldens,
-)
-from repro.qa.relations import (
-    RELATIONS,
-    MetamorphicRelation,
-    RelationViolation,
-    RelationsResult,
-    check_relation,
-    default_case_corpus,
-    engine_matrix,
-    get_relation,
-    run_relations,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.qa.differential": (
+        "BASE_SEED", "CaseParams", "DifferentialFailure", "DifferentialResult",
+        "canonical", "format_reproducer", "mine_canonical", "minimize_case",
+        "random_params", "random_rows", "run_differential",
+    ),
+    "repro.qa.gate": ("QAConfig", "QAReport", "run_qa"),
+    "repro.qa.golden": (
+        "GOLDEN_CASES", "GoldenCase", "GoldenResult", "golden_diff",
+        "run_goldens", "update_goldens",
+    ),
+    "repro.qa.relations": (
+        "RELATIONS", "MetamorphicRelation", "RelationViolation",
+        "RelationsResult", "check_relation", "default_case_corpus",
+        "engine_matrix", "get_relation", "run_relations",
+    ),
+})
 
 __all__ = [
     "BASE_SEED",

@@ -12,10 +12,14 @@ column is recurrence-filtered down, byte-identical to a fresh mine.
 ``fetch``) is the matching stdlib client.
 """
 
-from repro.service.cache import CacheEntry, CacheOutcome, ResultCache
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import MiningService, run_server
-from repro.service.jobs import Job, JobStore
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.cache": ("CacheEntry", "CacheOutcome", "ResultCache"),
+    "repro.service.client": ("ServiceClient", "ServiceError"),
+    "repro.service.daemon": ("MiningService", "run_server"),
+    "repro.service.jobs": ("Job", "JobStore"),
+})
 
 __all__ = [
     "CacheEntry",

@@ -11,24 +11,22 @@ orchestrator; the façade exposes it as
 ``max_events_in_memory=...`` and the CLI as ``repro-mine shard``.
 """
 
-from repro.shard.candidates import (
-    BoundaryWindowCollector,
-    CutWindows,
-    boundary_candidates,
-)
-from repro.shard.merge import (
-    MergeStats,
-    ShardPatternState,
-    ShardResult,
-    merge_shard_results,
-)
-from repro.shard.miner import (
-    DEFAULT_MAX_TRANSACTIONS,
-    ShardRunReport,
-    mine_sharded_file_request,
-    mine_sharded_request,
-)
-from repro.shard.planner import ShardPlan, ShardPlanner, plan_with_cuts
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.shard.candidates": (
+        "BoundaryWindowCollector", "CutWindows", "boundary_candidates",
+    ),
+    "repro.shard.merge": (
+        "MergeStats", "ShardPatternState", "ShardResult",
+        "merge_shard_results",
+    ),
+    "repro.shard.miner": (
+        "DEFAULT_MAX_TRANSACTIONS", "ShardRunReport",
+        "mine_sharded_file_request", "mine_sharded_request",
+    ),
+    "repro.shard.planner": ("ShardPlan", "ShardPlanner", "plan_with_cuts"),
+})
 
 __all__ = [
     "BoundaryWindowCollector",

@@ -25,25 +25,22 @@ uninterrupted run — is enforced by the QA gate's ``stream-batch`` and
 ``docs/streaming.md``).
 """
 
-from repro.streaming.calendar import (
-    CALENDAR_MODES,
-    CalendarPeriod,
-    CalendarRecurrenceMonitor,
-    mine_calendar_patterns,
-)
-from repro.streaming.checkpoint import (
-    monitor_from_state,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.streaming.monitor import (
-    ItemState,
-    StreamingRecurrenceMonitor,
-    decode_item,
-    encode_item,
-    item_sort_key,
-)
-from repro.streaming.registry import ShardedMonitorRegistry, shard_of
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.streaming.calendar": (
+        "CALENDAR_MODES", "CalendarPeriod", "CalendarRecurrenceMonitor",
+        "mine_calendar_patterns",
+    ),
+    "repro.streaming.checkpoint": (
+        "monitor_from_state", "read_checkpoint", "write_checkpoint",
+    ),
+    "repro.streaming.monitor": (
+        "ItemState", "StreamingRecurrenceMonitor", "decode_item",
+        "encode_item", "item_sort_key",
+    ),
+    "repro.streaming.registry": ("ShardedMonitorRegistry", "shard_of"),
+})
 
 __all__ = [
     "CALENDAR_MODES",

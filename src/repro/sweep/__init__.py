@@ -25,7 +25,11 @@ bench`` and the Table 5/7 and Figure 7/9 benches run this engine and
 render its result with :mod:`repro.bench.harness`.
 """
 
-from repro.sweep.engine import SweepResult, run_sweep
-from repro.sweep.plan import GridKey, SweepPlan
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sweep.engine": ("SweepResult", "run_sweep"),
+    "repro.sweep.plan": ("GridKey", "SweepPlan"),
+})
 
 __all__ = ["GridKey", "SweepPlan", "SweepResult", "run_sweep"]

@@ -6,32 +6,26 @@ recurring-pattern model is defined over, together with the
 transformation between the two representations and file I/O.
 """
 
-from repro.timeseries.calendar import (
-    MINUTES_PER_DAY,
-    MINUTES_PER_HOUR,
-    MINUTES_PER_WEEK,
-    day_and_time,
-    day_of,
-    format_minutes,
-    hour_of_day,
-    minute_of_day,
-    minutes,
-)
-from repro.timeseries.columnar import ColumnarTDB
-from repro.timeseries.database import Transaction, TransactionalDatabase
-from repro.timeseries.events import Event, EventSequence
-from repro.timeseries.io import (
-    load_event_sequence,
-    load_transactional_database,
-    save_event_sequence,
-    save_transactional_database,
-)
-from repro.timeseries.stats import DatabaseStats, describe_database
-from repro.timeseries.transform import (
-    database_to_events,
-    discretize_timestamps,
-    events_to_database,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.timeseries.calendar": (
+        "MINUTES_PER_DAY", "MINUTES_PER_HOUR", "MINUTES_PER_WEEK",
+        "day_and_time", "day_of", "format_minutes", "hour_of_day",
+        "minute_of_day", "minutes",
+    ),
+    "repro.timeseries.columnar": ("ColumnarTDB",),
+    "repro.timeseries.database": ("Transaction", "TransactionalDatabase"),
+    "repro.timeseries.events": ("Event", "EventSequence"),
+    "repro.timeseries.io": (
+        "load_event_sequence", "load_transactional_database",
+        "save_event_sequence", "save_transactional_database",
+    ),
+    "repro.timeseries.stats": ("DatabaseStats", "describe_database"),
+    "repro.timeseries.transform": (
+        "database_to_events", "discretize_timestamps", "events_to_database",
+    ),
+})
 
 __all__ = [
     "Event",

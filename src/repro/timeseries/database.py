@@ -80,7 +80,7 @@ class TransactionalDatabase:
         # The pause also covers a lazy source: a file parsed row by row
         # into this loop allocates without a collector pass.
         with paused_gc():
-            merged: Dict[float, set] = {}
+            merged: Dict[float, FrozenSet[Item]] = {}
             for raw in transactions:
                 try:
                     ts, items = raw
@@ -96,13 +96,16 @@ class TransactionalDatabase:
                     raise DataFormatError(
                         f"transaction timestamp must be finite, got {ts!r}"
                     )
-                itemset = set(items)
+                itemset = frozenset(items)
                 if not itemset:
                     continue
-                merged.setdefault(ts, set()).update(itemset)
+                # ``setdefault`` hands back an earlier row's itemset
+                # when the timestamp repeats.
+                first = merged.setdefault(ts, itemset)
+                if first is not itemset:
+                    merged[ts] = first | itemset
             self._transactions: Tuple[Transaction, ...] = tuple(
-                Transaction(ts, frozenset(merged[ts]))
-                for ts in sorted(merged)
+                Transaction(ts, merged[ts]) for ts in sorted(merged)
             )
         self._item_index: Optional[Dict[Item, Tuple[float, ...]]] = None
         self._columnar = None

@@ -131,6 +131,44 @@ class TestRendering:
         assert "critical path:" in text
         assert "8 patterns" in text
 
+    def test_aggregate_shares_count_nested_time_once(self):
+        records = [
+            {"kind": "span", "path": "mine", "name": "mine",
+             "seconds": 2.0},
+            {"kind": "span", "path": "mine.chunk[0]",
+             "name": "chunk[0]", "seconds": 1.5},
+        ]
+        analysis = TraceAnalysis.from_records(records)
+        assert analysis.phase_totals(exclusive=True) == {
+            "mine": 0.5, "chunk[0]": 1.5,
+        }
+        # --compare keeps inclusive totals.
+        assert analysis.phase_totals() == {"mine": 2.0, "chunk[0]": 1.5}
+        text = render_analysis(analysis)
+        assert "  chunk[0]  1.500000s ( 75.0%)" in text  # the span tree
+        aggregate = text.split("per-phase aggregate")[1]
+        assert "chunk[0] |     1.500000 | 75.0%" in aggregate
+        assert "    mine |     0.500000 | 25.0%" in aggregate
+
+    def test_sweep_cell_roots_keep_only_their_remainder(self):
+        stream = io.StringIO()
+        run_sweep(
+            paper_running_example(),
+            SweepPlan(pers=(2,), min_ps_values=(3,), min_recs=(1, 2)),
+            observability=ObservabilityOptions(
+                trace=stream, progress=False
+            ),
+        )
+        stream.seek(0)
+        analysis = analyze_trace(stream)
+        roots = analysis.span_roots()
+        totals = analysis.phase_totals(exclusive=True)
+        for root in roots:
+            nested = sum(child.seconds for child in root.children)
+            assert abs(totals[root.name] - (root.seconds - nested)) < 1e-12
+        grand = sum(root.seconds for root in roots)
+        assert abs(sum(totals.values()) - grand) < 1e-9
+
     def test_render_span_tree_indents_and_shares(self):
         records = [
             {"kind": "span", "path": "run", "name": "run",
