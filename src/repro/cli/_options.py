@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.bench.reporting import format_table
 from repro.bench.workloads import WORKLOADS
@@ -110,7 +109,8 @@ def _add_profiling_flags(
         "--trace-out",
         default=None,
         metavar="PATH",
-        help="write a JSON-lines trace (spans + repro-run/v1 record)",
+        help="write a JSON-lines trace: one repro-run/v1 record, "
+        "spans included",
     )
     if memory:
         parser.add_argument(
@@ -126,48 +126,22 @@ def _load(path: str, file_format: str) -> TransactionalDatabase:
     return load_transactional_database(path)
 
 
-def _monitored_call(
-    args: argparse.Namespace,
-    label: str,
-    fn: Callable[[], object],
-    count: Callable[[object], int] = len,  # type: ignore[assignment]
-):
-    """Run ``fn`` as a single-unit monitor phase when live output is on.
+def _observability(args: argparse.Namespace) -> ObservabilityOptions:
+    """The profiling and live-output flags as ObservabilityOptions.
 
-    Covers the code paths that bypass ``mine_recurring_patterns``
-    (the noise-tolerant miner, the baseline miners): with
-    ``--progress``/``--metrics-out`` off this is a plain call, with
-    them on the run still gets a progress line, the in-process
-    heartbeat and a final metrics snapshot — nothing silently drops.
+    ``--profile``, ``--trace-out`` and ``--track-memory`` each turn
+    telemetry on; ``--progress`` and ``--metrics-out`` ask for a
+    live monitor.
     """
-    from repro.obs.progress import monitor_from_options
-
-    monitor = monitor_from_options(
-        ObservabilityOptions(
-            progress=args.progress,
-            metrics=getattr(args, "metrics_out", None),
-        )
+    return ObservabilityOptions(
+        collect_stats=bool(
+            args.profile or args.trace_out or args.track_memory
+        ),
+        trace=args.trace_out,
+        track_memory=args.track_memory,
+        progress=args.progress,
+        metrics=getattr(args, "metrics_out", None),
     )
-    if monitor is None:
-        return fn()
-    started = time.perf_counter()
-    try:
-        monitor.phase_started(label, units=1)
-        try:
-            result = fn()
-            monitor.unit_done(0)
-            monitor.serial_beat()
-        finally:
-            monitor.phase_finished()
-        monitor.run_finished(
-            engine=label,
-            stats=None,
-            seconds=time.perf_counter() - started,
-            patterns_found=count(result),
-        )
-        return result
-    finally:
-        monitor.close()
 
 
 def _print_pattern_table(patterns: Iterable, title: str) -> None:

@@ -14,14 +14,13 @@ import logging
 import sys
 
 from repro.core.engines import engine_names
-from repro.core.options import ObservabilityOptions
 from repro.cli._options import (
     _add_jobs_flag,
     _add_logging_flag,
     _add_profiling_flags,
     _add_progress_flag,
     _load,
-    _monitored_call,
+    _observability,
     _print_pattern_table,
     _resilience_options,
     _threshold,
@@ -175,8 +174,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     from repro.core.request import MiningRequest
 
     database = _load(args.input, args.format)
-    profiling = args.profile or args.trace_out or args.track_memory
-    telemetry = None
+    observability = _observability(args)
     if args.max_faults:
         if args.jobs > 1:
             print(
@@ -191,42 +189,24 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             )
         from repro.core.noise import mine_noise_tolerant_patterns
 
-        def run_noise_miner():
-            return mine_noise_tolerant_patterns(
+        found, telemetry = _run_serial(
+            "noise-tolerant",
+            lambda: mine_noise_tolerant_patterns(
                 database,
                 per=args.per,
                 min_ps=args.min_ps,
                 min_rec=args.min_rec,
                 fault_per=args.fault_per,
                 max_faults=args.max_faults,
-            )
-
-        if profiling:
-            from repro.obs import TraceWriter, profile_call
-
-            found, telemetry = _monitored_call(
-                args,
-                "noise-tolerant",
-                lambda: profile_call(
-                    run_noise_miner,
-                    engine="noise-tolerant",
-                    params={
-                        "per": args.per,
-                        "min_ps": args.min_ps,
-                        "min_rec": args.min_rec,
-                        "max_faults": args.max_faults,
-                    },
-                    track_memory=args.track_memory,
-                ),
-                count=lambda pair: len(pair[0]),
-            )
-            if args.trace_out:
-                with TraceWriter(args.trace_out) as writer:
-                    writer.write_run(telemetry)
-        else:
-            found = _monitored_call(
-                args, "noise-tolerant", run_noise_miner
-            )
+            ),
+            observability,
+            params={
+                "per": args.per,
+                "min_ps": args.min_ps,
+                "min_rec": args.min_rec,
+                "max_faults": args.max_faults,
+            },
+        )
     else:
         request = MiningRequest(
             per=args.per,
@@ -236,22 +216,13 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             shards=args.shards,
             resilience=_resilience_options(args),
-            observability=ObservabilityOptions(
-                collect_stats=bool(profiling),
-                trace=args.trace_out if profiling else None,
-                track_memory=args.track_memory,
-                progress=args.progress,
-                metrics=args.metrics_out,
-            ),
+            observability=observability,
         )
-        if profiling:
+        if observability.collect_stats:
             found, telemetry = execute_request(request, database)
         else:
-            found = execute_request(request, database)
-    if telemetry is not None:
-        telemetry.log(level=logging.DEBUG)
-        if args.profile:
-            print(telemetry.summary_table(), file=sys.stderr)
+            found, telemetry = execute_request(request, database), None
+    _report_telemetry(telemetry, args)
     if args.closed:
         from repro.core.condensed import closed_patterns
 
@@ -351,31 +322,42 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             database, int(args.per), args.min_rep, args.max_dis
         )
 
-    if args.profile or args.trace_out or args.track_memory:
-        from repro.obs import TraceWriter, profile_call
-
-        results, telemetry = _monitored_call(
-            args,
-            f"baseline/{args.model}",
-            lambda: profile_call(
-                run_baseline,
-                engine=f"baseline/{args.model}",
-                params={"per": args.per, "min_sup": args.min_sup},
-                track_memory=args.track_memory,
-            ),
-            count=lambda pair: len(pair[0]),
-        )
-        telemetry.log(level=logging.DEBUG)
-        if args.trace_out:
-            with TraceWriter(args.trace_out) as writer:
-                writer.write_run(telemetry)
-        if args.profile:
-            print(telemetry.summary_table(), file=sys.stderr)
-    else:
-        results = _monitored_call(
-            args, f"baseline/{args.model}", run_baseline
-        )
+    results, telemetry = _run_serial(
+        f"baseline/{args.model}",
+        run_baseline,
+        _observability(args),
+        params={"per": args.per, "min_sup": args.min_sup},
+    )
+    _report_telemetry(telemetry, args)
     print(f"{len(results)} {args.model} patterns")
     for pattern in results[: args.top]:
         print(f"  {pattern}")
     return 0
+
+
+def _run_serial(label: str, mine, observability, params: dict):
+    """Run one serial miner outside ``execute_request`` as one ``run``.
+
+    The noise-tolerant and baseline miners go through the same runner
+    as ``execute_request`` (monitor, spans, telemetry, trace), mined as
+    the single-unit ``label`` phase under one ``run`` span.  Returns
+    ``(result, telemetry or None)``.
+    """
+    from repro.core.miner import mine_serial
+    from repro.obs.report import profile_call
+    from repro.obs.spans import span
+
+    def run(monitor):
+        with span("run"):
+            return mine_serial(label, mine, monitor), None, None
+
+    return profile_call(run, label, observability, params=params)
+
+
+def _report_telemetry(telemetry, args: argparse.Namespace) -> None:
+    """Log a run's telemetry at debug level; ``--profile`` prints it."""
+    if telemetry is None:
+        return
+    telemetry.log(level=logging.DEBUG)
+    if args.profile:
+        print(telemetry.summary_table(), file=sys.stderr)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from repro.core.engines import engine_names
 from repro.core.options import ObservabilityOptions
@@ -67,7 +66,7 @@ def configure(commands) -> None:
 
 def _cmd_shard(args: argparse.Namespace) -> int:
     from repro.core.request import MiningRequest
-    from repro.obs.progress import monitor_from_options
+    from repro.obs.report import profile_call
     from repro.shard import (
         DEFAULT_MAX_TRANSACTIONS,
         mine_sharded_file_request,
@@ -82,26 +81,21 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         max_events_in_memory=args.max_events,
         resilience=_resilience_options(args),
     )
-    monitor = monitor_from_options(
-        ObservabilityOptions(
-            progress=args.progress, metrics=args.metrics_out
-        )
-    )
-    started = time.perf_counter()
-    try:
-        found, stats, faults, report = mine_sharded_file_request(
+
+    def run(monitor):
+        mined = mine_sharded_file_request(
             args.input, request, monitor=monitor
         )
-        if monitor is not None:
-            monitor.run_finished(
-                engine=args.engine,
-                stats=stats,
-                seconds=time.perf_counter() - started,
-                patterns_found=len(found),
-            )
-    finally:
-        if monitor is not None:
-            monitor.close()
+        return mined, mined[1], None
+
+    (found, _, faults, report), _ = profile_call(
+        run,
+        args.engine,
+        ObservabilityOptions(
+            progress=args.progress, metrics=args.metrics_out
+        ),
+        count=lambda mined: len(mined[0]),
+    )
     patterns = found.top(args.top) if args.top else list(found)
     _print_pattern_table(
         patterns,

@@ -22,21 +22,19 @@ share.
 
 from __future__ import annotations
 
-import time
 import warnings
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
 from repro._gc import paused_gc
-from repro._validation import Number
+from repro._validation import Number, resolve_count_threshold
 from repro.core.engines import get_engine
 from repro.core.options import ObservabilityOptions, ResilienceOptions
 from repro.core.model import RecurringPatternSet
 from repro.core.request import MiningRequest
 from repro.exceptions import ParameterError
 from repro.obs.counters import MiningStats
-from repro.obs.progress import monitor_from_options
-from repro.obs.report import MiningTelemetry, TraceWriter
-from repro.obs.spans import SpanCollector, span
+from repro.obs.report import MiningTelemetry, profile_call
+from repro.obs.spans import span
 from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.events import EventSequence
 
@@ -48,6 +46,16 @@ __all__ = [
 ]
 
 Source = Union[EventSequence, TransactionalDatabase]
+T = TypeVar("T")
+
+#: The warning :func:`execute_request` gives when a fractional
+#: ``min_ps`` resolves to one transaction.
+_MIN_PS_OF_ONE = (
+    "fractional min_ps resolves to 1 transaction: every itemset that "
+    "occurs is recurring, so the search can grow with every "
+    "combination of co-occurring items; raise min_ps, or pass the int "
+    "1 to mean it"
+)
 
 
 def mine_recurring_patterns(
@@ -191,7 +199,11 @@ def execute_request(
     ``(patterns, telemetry)`` when ``observability.collect_stats`` is
     true.  When telemetry is collected, the ``repro-run/v1`` record
     additionally carries the database's content ``dataset_digest`` —
-    the same digest the service result cache keys on.
+    the same digest the service result cache keys on.  Monitor, spans,
+    telemetry and trace come from :func:`repro.obs.profile_call`.  A
+    fractional ``min_ps`` that resolves to one transaction warns
+    (``RuntimeWarning``) before mining: every itemset that occurs
+    would be recurring.
     """
     if data is None:
         if request.source is None:
@@ -200,98 +212,41 @@ def execute_request(
                 "or build the MiningRequest with source=DatasetRef(...)"
             )
         data = request.source.load()
-    per, min_ps, min_rec = request.per, request.min_ps, request.min_rec
-    engine, jobs = request.engine, request.jobs
-    resilience = request.resilience
-    obs = request.observability
-    track = obs.track_memory
-    if track and not obs.enabled:
-        warnings.warn(
-            "track_memory=True has no effect without collect_stats or "
-            "trace — no telemetry is collected, so there is nothing to "
-            "attach memory samples to",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        track = False
-    # Live observability (progress lines, metrics snapshots, worker
-    # heartbeats) is orthogonal to post-hoc telemetry: it exists on
-    # both branches below, including the jobs=1 serial path.
-    monitor = monitor_from_options(obs)
-    owns_monitor = monitor is not None and obs.monitor is None
 
-    def _dispatch(database):
-        """Direct or sharded mine: (result, stats, faults, report?)."""
-        if not request.sharded:
-            found, run_stats, fault_list = run_request(
+    def run(monitor):
+        with span("transform"):
+            database = _as_database(data)
+        size = len(database)
+        if isinstance(request.min_ps, float) and size and (
+            resolve_count_threshold(request.min_ps, "min_ps", size) == 1
+        ):
+            warnings.warn(_MIN_PS_OF_ONE, RuntimeWarning)
+        if request.sharded:
+            from repro.shard.miner import mine_sharded_request
+
+            found, stats, faults, report = mine_sharded_request(
                 database, request, monitor=monitor
             )
-            return found, run_stats, fault_list, None
-        from repro.shard.miner import mine_sharded_request
-
-        return mine_sharded_request(database, request, monitor=monitor)
-
-    try:
-        if not obs.enabled:
-            started = time.perf_counter()
-            with span("transform"):
-                database = _as_database(data)
-            result, run_stats, _, _ = _dispatch(database)
-            if monitor is not None:
-                monitor.run_finished(
-                    engine=engine,
-                    stats=run_stats,
-                    seconds=time.perf_counter() - started,
-                    patterns_found=len(result),
-                )
-            return result
-
-        collector = SpanCollector(track_memory=track)
-        started = time.perf_counter()
-        with collector:
-            with span("transform"):
-                database = _as_database(data)
-            result, stats, fault_events, shard_report = _dispatch(database)
-        seconds = time.perf_counter() - started
-        if monitor is not None:
-            monitor.run_finished(
-                engine=engine,
-                stats=stats,
-                seconds=seconds,
-                patterns_found=len(result),
+        else:
+            found, stats, faults = run_request(
+                database, request, monitor=monitor
             )
-    finally:
-        if owns_monitor:
-            monitor.close()
+            report = None
+        return found, stats, lambda: _record_extra(
+            database, stats, faults, report
+        )
+
+    obs = request.observability
     params: dict = request.thresholds()
-    if jobs > 1:
-        params["jobs"] = jobs
-    extra: dict = {"dataset_digest": database.digest()}
-    if shard_report is not None:
-        extra["shards"] = shard_report.as_dict()
-    if fault_events:
-        extra["faults"] = {
-            "chunks_retried": stats.chunks_retried,
-            "chunks_fallback": stats.chunks_fallback,
-            "events": [event.as_dict() for event in fault_events],
-        }
-    dataset_label = obs.dataset
-    if dataset_label is None and request.source is not None:
-        dataset_label = request.source.label
-    telemetry = MiningTelemetry(
-        engine=engine,
+    if request.jobs > 1:
+        params["jobs"] = request.jobs
+    result, telemetry = profile_call(
+        run,
+        request.engine,
+        obs,
         params=params,
-        stats=stats,
-        spans=collector.spans,
-        patterns_found=len(result),
-        seconds=seconds,
-        memory_peak_bytes=collector.memory_peak_bytes,
-        dataset=dataset_label,
-        extra=extra,
+        dataset=None if request.source is None else request.source.label,
     )
-    if obs.trace is not None:
-        with TraceWriter(obs.trace) as writer:
-            writer.write_run(telemetry)
     if obs.collect_stats:
         return result, telemetry
     return result
@@ -334,31 +289,47 @@ def run_request(
         serial = get_engine(request.engine).factory(
             request.per, request.min_ps, request.min_rec
         )
-        result = mine_serial(serial, request.engine, database, monitor)
+        result = mine_serial(
+            f"mine[{request.engine}]",
+            lambda: serial.mine(database),
+            monitor,
+        )
         return result, serial.last_stats or MiningStats(), []
 
 
-def mine_serial(
-    miner, engine: str, database: TransactionalDatabase, monitor=None
-) -> RecurringPatternSet:
-    """Run one registry-built engine object in-process.
+def mine_serial(label: str, mine: Callable[[], T], monitor=None) -> T:
+    """Run ``mine()`` in-process as one single-unit monitor phase.
 
-    ``monitor`` sees the run as a single-unit ``mine[engine]`` phase
-    plus the in-process heartbeat, so progress and metrics never go
-    silent at ``jobs=1``.  Both serial paths —
-    :func:`run_request` and ``ParallelMiner(jobs=1)`` — go through
-    here.
+    ``monitor`` sees the run as a one-unit ``label`` phase plus the
+    in-process heartbeat, so progress and metrics never go silent on a
+    serial path: :func:`run_request` and ``ParallelMiner(jobs=1)``
+    (``mine[engine]``), and the CLI's noise-tolerant and baseline
+    miners.
     """
     if monitor is None:
-        return miner.mine(database)
-    monitor.phase_started(f"mine[{engine}]", units=1)
+        return mine()
+    monitor.phase_started(label, units=1)
     try:
-        result = miner.mine(database)
+        result = mine()
         monitor.unit_done(0)
         monitor.serial_beat()
     finally:
         monitor.phase_finished()
     return result
+
+
+def _record_extra(database, stats, faults, report) -> dict:
+    """A run record's extra fields: digest, shard report, fault log."""
+    extra: dict = {"dataset_digest": database.digest()}
+    if report is not None:
+        extra["shards"] = report.as_dict()
+    if faults:
+        extra["faults"] = {
+            "chunks_retried": stats.chunks_retried,
+            "chunks_fallback": stats.chunks_fallback,
+            "events": [event.as_dict() for event in faults],
+        }
+    return extra
 
 
 def _as_database(data: Source) -> TransactionalDatabase:

@@ -142,12 +142,3 @@ class ObservabilityOptions:
     def enabled(self) -> bool:
         """True when telemetry is built at all (stats or trace)."""
         return bool(self.collect_stats) or self.trace is not None
-
-    @property
-    def live(self) -> bool:
-        """True when any live output is requested (progress/metrics)."""
-        return (
-            bool(self.progress)
-            or self.metrics is not None
-            or self.monitor is not None
-        )

@@ -3,8 +3,7 @@
 This is the engine behind the ``repro-mine trace`` subcommand: given a
 trace produced anywhere in the toolchain — ``repro-run/v1`` run records
 (façade ``--trace-out``), ``repro-sweep/v1`` sweep records,
-``repro-qa/v1`` gate reports, ``repro-metrics/v1`` snapshots, plus the
-per-span lines :class:`~repro.obs.report.TraceWriter` interleaves — it
+``repro-qa/v1`` gate reports and ``repro-metrics/v1`` snapshots — it
 answers the questions a human asks after a long run:
 
 * *where did the time go?* — the span tree and per-phase aggregates;
@@ -41,11 +40,7 @@ class TraceAnalysis:
     """Aggregated view of one JSON-lines trace.
 
     Record payloads are bucketed by ``kind``; span trees are rebuilt
-    from run/sweep records when present (the per-span lines a
-    :meth:`~repro.obs.report.TraceWriter.write_run` interleaves
-    duplicate the run record's own tree, so counting both would double
-    every phase — standalone span lines are used only when no record
-    carries spans).
+    from the run and sweep records, which carry each run's spans once.
     """
 
     source: Optional[str] = None
@@ -53,7 +48,6 @@ class TraceAnalysis:
     sweeps: List[Dict[str, object]] = field(default_factory=list)
     qa_reports: List[Dict[str, object]] = field(default_factory=list)
     metrics: List[Dict[str, object]] = field(default_factory=list)
-    span_lines: List[Dict[str, object]] = field(default_factory=list)
     other: List[Dict[str, object]] = field(default_factory=list)
 
     # ------------------------------------------------------------------
@@ -80,8 +74,6 @@ class TraceAnalysis:
                 analysis.qa_reports.append(record)
             elif kind == "metrics" or schema == METRICS_SCHEMA:
                 analysis.metrics.append(record)
-            elif kind == "span":
-                analysis.span_lines.append(record)
             else:
                 analysis.other.append(record)
         return analysis
@@ -90,20 +82,15 @@ class TraceAnalysis:
     def record_count(self) -> int:
         return (
             len(self.runs) + len(self.sweeps) + len(self.qa_reports)
-            + len(self.metrics) + len(self.span_lines) + len(self.other)
+            + len(self.metrics) + len(self.other)
         )
 
     # ------------------------------------------------------------------
     # Span trees
     # ------------------------------------------------------------------
     def span_roots(self) -> List[Span]:
-        """Every span tree in the trace, rebuilt from the records.
-
-        Preference order per the double-counting rule: run-record
-        spans, then sweep cell spans, then (only if neither exists)
-        a tree reassembled from the standalone ``kind=span`` lines'
-        dotted paths.
-        """
+        """Every span tree in the trace: run-record spans, then one
+        root per sweep cell holding that cell's spans."""
         roots: List[Span] = []
         for run in self.runs:
             for payload in run.get("spans", ()):  # type: ignore[union-attr]
@@ -123,9 +110,7 @@ class TraceAnalysis:
                         children=children,
                     )
                 )
-        if roots or not self.span_lines:
-            return roots
-        return _tree_from_span_lines(self.span_lines)
+        return roots
 
     def phase_totals(self, exclusive: bool = False) -> Dict[str, float]:
         """Summed seconds per span name, first-seen order.
@@ -152,12 +137,6 @@ class TraceAnalysis:
         total += sum(
             float(r.get("seconds", 0.0)) for r in self.qa_reports
         )
-        if total == 0.0 and self.span_lines:
-            total = sum(
-                float(r.get("seconds", 0.0))
-                for r in self.span_lines
-                if "." not in str(r.get("path", ""))
-            )
         return total
 
     def critical_path(self) -> List[Tuple[str, float]]:
@@ -219,8 +198,7 @@ def render_analysis(analysis: TraceAnalysis) -> str:
     sections.append(
         f"{header}: {analysis.record_count} records — "
         f"{len(analysis.runs)} run, {len(analysis.sweeps)} sweep, "
-        f"{len(analysis.qa_reports)} qa, {len(analysis.metrics)} "
-        f"metrics, {len(analysis.span_lines)} span lines"
+        f"{len(analysis.qa_reports)} qa, {len(analysis.metrics)} metrics"
     )
     for run in analysis.runs:
         engine = run.get("engine", "?")
@@ -374,30 +352,6 @@ def _cell_label(cell: Dict[str, object]) -> str:
     if cell.get("derived"):
         label += " (derived)"
     return label
-
-
-def _tree_from_span_lines(
-    records: Iterable[Dict[str, object]]
-) -> List[Span]:
-    """Reassemble span trees from dotted-``path`` span lines."""
-    roots: List[Span] = []
-    by_path: Dict[str, Span] = {}
-    for record in records:
-        path = str(record.get("path", record.get("name", "?")))
-        node = Span(
-            name=str(record.get("name", path.rsplit(".", 1)[-1])),
-            started=0.0,
-            seconds=float(record.get("seconds", 0.0)),  # type: ignore[arg-type]
-            memory_peak_bytes=record.get("memory_peak_bytes"),  # type: ignore[arg-type]
-        )
-        by_path[path] = node
-        parent = by_path.get(path.rsplit(".", 1)[0]) \
-            if "." in path else None
-        if parent is not None:
-            parent.children.append(node)
-        else:
-            roots.append(node)
-    return roots
 
 
 def _metric_label(entry: Dict[str, object]) -> str:

@@ -13,8 +13,7 @@ the batch CLI, the bench harness and the supervised pool:
   parallel layer: workers never touch the parent's registry — their
   numbers travel through the existing chunk-result channel (counters in
   the merged :class:`~repro.obs.counters.MiningStats`, heartbeats as
-  marker-file mtimes) and the parent publishes them, or whole snapshots
-  are combined with :meth:`MetricsRegistry.merge_snapshot`.
+  marker-file mtimes) and the parent publishes them.
 * ``repro-metrics/v1`` — the JSONL snapshot record
   (:meth:`MetricsRegistry.snapshot`, checked by
   :func:`validate_metrics_record`), written through the same
@@ -48,6 +47,7 @@ from typing import (
 
 from repro.exceptions import ParameterError
 from repro.obs.counters import MiningStats
+from repro.obs.report import TraceWriter, check_fields, present
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -64,6 +64,23 @@ __all__ = [
 
 #: Schema tag carried by every metrics snapshot record.
 METRICS_SCHEMA = "repro-metrics/v1"
+
+#: Keys every ``repro-metrics/v1`` record must carry, with their types.
+_METRICS_REQUIRED: Tuple[Tuple[str, type], ...] = (
+    ("at_unix", float),
+    ("counters", list),
+    ("gauges", list),
+    ("histograms", list),
+)
+
+#: Keys every counter or gauge entry of a metrics record must carry.
+_ENTRY_REQUIRED = present("name", "value") + (("labels", dict),)
+
+#: Keys every histogram entry of a metrics record must carry.
+_HISTOGRAM_REQUIRED = present("name", "labels", "sum", "count") + (
+    ("boundaries", list),
+    ("counts", list),
+)
 
 #: Default histogram boundaries for run/phase durations, spanning the
 #: running example (sub-millisecond) to a quest-scale sweep (minutes).
@@ -325,31 +342,6 @@ class MetricsRegistry:
             "histograms": histograms,
         }
 
-    def merge_snapshot(self, record: Mapping[str, object]) -> None:
-        """Fold one ``repro-metrics/v1`` record into this registry.
-
-        Counters and histogram buckets add; gauges overwrite per label
-        set (last writer wins — the merge semantics of instantaneous
-        values).  This is how per-process snapshots combine: each
-        worker pool or job serializes its registry through the result
-        channel and the parent merges.
-        """
-        validate_metrics_record(record)
-        for entry in record["counters"]:  # type: ignore[union-attr]
-            self.counter(entry["name"], entry["labels"]).inc(entry["value"])
-        for entry in record["gauges"]:  # type: ignore[union-attr]
-            self.gauge(entry["name"], entry["labels"]).set(entry["value"])
-        for entry in record["histograms"]:  # type: ignore[union-attr]
-            histogram = self.histogram(
-                entry["name"], entry["labels"],
-                boundaries=entry["boundaries"],
-            )
-            with histogram._lock:
-                for index, count in enumerate(entry["counts"]):
-                    histogram._counts[index] += count
-                histogram._sum += entry["sum"]
-                histogram._count += entry["count"]
-
 
 def validate_metrics_record(record: Mapping[str, object]) -> None:
     """Raise ``ValueError`` unless ``record`` is a valid metrics record.
@@ -370,44 +362,18 @@ def validate_metrics_record(record: Mapping[str, object]) -> None:
         raise ValueError(
             f"metrics record kind {record.get('kind')!r} != 'metrics'"
         )
-    for key in ("at_unix", "counters", "gauges", "histograms"):
-        if key not in record:
-            raise ValueError(f"metrics record missing required key {key!r}")
-    if not isinstance(record["at_unix"], (int, float)) or isinstance(
-        record["at_unix"], bool
-    ):
-        raise ValueError("metrics record 'at_unix' must be a number")
+    check_fields(record, _METRICS_REQUIRED, "metrics record")
     for section in ("counters", "gauges"):
-        entries = record[section]
-        if not isinstance(entries, list):
-            raise ValueError(f"metrics record {section!r} must be a list")
-        for entry in entries:
-            for key in ("name", "labels", "value"):
-                if key not in entry:
-                    raise ValueError(
-                        f"metrics record {section} entry missing {key!r}"
-                    )
-            if not isinstance(entry["labels"], dict):
-                raise ValueError(
-                    f"metrics record {section} entry 'labels' must be dict"
-                )
-    histograms = record["histograms"]
-    if not isinstance(histograms, list):
-        raise ValueError("metrics record 'histograms' must be a list")
-    for entry in histograms:
-        for key in ("name", "labels", "boundaries", "counts", "sum",
-                    "count"):
-            if key not in entry:
-                raise ValueError(
-                    f"metrics record histogram entry missing {key!r}"
-                )
+        for entry in record[section]:  # type: ignore[union-attr]
+            check_fields(
+                entry, _ENTRY_REQUIRED, f"metrics record {section} entry"
+            )
+    for entry in record["histograms"]:  # type: ignore[union-attr]
+        check_fields(
+            entry, _HISTOGRAM_REQUIRED, "metrics record histogram entry"
+        )
         boundaries = entry["boundaries"]
         counts = entry["counts"]
-        if not isinstance(boundaries, list) or not isinstance(counts, list):
-            raise ValueError(
-                "metrics record histogram 'boundaries' and 'counts' "
-                "must be lists"
-            )
         if len(counts) != len(boundaries) + 1:
             raise ValueError(
                 f"metrics record histogram {entry['name']!r} must have "
@@ -508,8 +474,6 @@ class MetricsEmitter:
         target: Union[str, IO[str]],
         interval: float = 1.0,
     ) -> None:
-        from repro.obs.report import TraceWriter
-
         if interval <= 0:
             raise ParameterError(
                 f"emitter interval must be positive, got {interval!r}"

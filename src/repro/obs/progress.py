@@ -21,7 +21,8 @@ view:
   still time to care;
 * :func:`monitor_from_options` — builds a monitor from
   :class:`~repro.core.options.ObservabilityOptions` (``progress``
-  defaults to on only when stderr is a TTY).
+  defaults to on only when stderr is a TTY); :func:`open_monitor` is
+  its scoped form, which closes only a monitor it built.
 
 Everything degrades gracefully: with no reporter, no registry and no
 emitter each call is a cheap no-op *on the monitor*, and with no
@@ -36,8 +37,9 @@ from __future__ import annotations
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, List, Optional, Sequence, Set, Tuple
+from typing import IO, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ParameterError
 from repro.obs.counters import MiningStats
@@ -53,6 +55,7 @@ __all__ = [
     "ProgressTracker",
     "StaleWorkerReport",
     "monitor_from_options",
+    "open_monitor",
 ]
 
 #: Gauge fed by the supervisor for every in-flight chunk.
@@ -448,3 +451,22 @@ def monitor_from_options(
     if metrics is not None:
         emitter = MetricsEmitter(MetricsRegistry(), metrics)
     return MiningMonitor(reporter=reporter, emitter=emitter)
+
+
+@contextmanager
+def open_monitor(
+    options: Optional[object],
+) -> Iterator[Optional["MiningMonitor"]]:
+    """:func:`monitor_from_options` for one run, closed on exit.
+
+    Only a monitor built here is closed: an injected
+    ``options.monitor`` belongs to its caller and stays open.
+    """
+    monitor = monitor_from_options(options)
+    try:
+        yield monitor
+    finally:
+        if monitor is not None and monitor is not getattr(
+            options, "monitor", None
+        ):
+            monitor.close()

@@ -9,8 +9,12 @@ consume it:
   table the CLI prints with ``--profile``;
 * :meth:`MiningTelemetry.log` — one stdlib-``logging`` record per
   phase plus a run summary;
-* :class:`TraceWriter` — a JSON-lines trace file: one ``span`` record
-  per span (depth-first) and a final ``run`` record.
+* :class:`TraceWriter` — a JSON-lines trace file, one record per line;
+  a run is its one ``run`` record, span tree included.
+
+:func:`profile_call` is the one runner every observed mining path goes
+through: it opens the live monitor, collects the spans, packages the
+:class:`MiningTelemetry` and writes the trace.
 
 The ``run`` record is the repo's machine-readable benchmark currency:
 ``BENCH_*.json`` files embed exactly these records (schema
@@ -22,9 +26,13 @@ from __future__ import annotations
 
 import json
 import logging
+import time
+import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     IO,
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -36,7 +44,7 @@ from typing import (
 )
 
 from repro.obs.counters import MiningStats
-from repro.obs.spans import Span, SpanCollector, span
+from repro.obs.spans import Span, SpanCollector
 
 __all__ = [
     "QA_SCHEMA",
@@ -68,6 +76,12 @@ SWEEP_SCHEMA = "repro-sweep/v1"
 #: Schema tag carried by every streaming-checkpoint record.
 STREAM_SCHEMA = "repro-stream/v1"
 
+
+def present(*keys: str) -> Tuple[Tuple[str, type], ...]:
+    """:func:`check_fields` pairs that ask only for presence."""
+    return tuple((key, object) for key in keys)
+
+
 #: Keys a ``repro-stream/v1`` header record must carry, with types.
 _STREAM_HEADER_REQUIRED: Tuple[Tuple[str, type], ...] = (
     ("schema", str),
@@ -87,6 +101,7 @@ _STREAM_STATE_REQUIRED: Tuple[Tuple[str, type], ...] = (
     ("kind", str),
     ("shard", int),
     ("state", dict),
+    ("stream", object),
 )
 
 #: Top-level keys every ``repro-qa/v1`` record must carry, with types.
@@ -103,6 +118,16 @@ _QA_REQUIRED: Tuple[Tuple[str, type], ...] = (
     ("differential", dict),
 )
 
+#: Sections of a ``repro-qa/v1`` record, and the keys of their checks.
+_QA_RELATIONS = present("matrix_complete") + (
+    ("checks", list), ("violations", list),
+)
+_QA_RELATION_CHECK = present(
+    "relation", "engine", "jobs", "cases", "violations"
+)
+_QA_GOLDEN_CHECK = present("name", "engine", "status")
+_QA_DIFFERENTIAL = present("cases", "checks") + (("failures", list),)
+
 #: Keys every ``repro-run/v1`` record must carry, with their types.
 _RUN_REQUIRED: Tuple[Tuple[str, type], ...] = (
     ("schema", str),
@@ -113,6 +138,13 @@ _RUN_REQUIRED: Tuple[Tuple[str, type], ...] = (
     ("seconds", float),
     ("counters", dict),
     ("spans", list),
+)
+
+#: Keys of a run record's optional ``faults`` section, with their types.
+_RUN_FAULTS: Tuple[Tuple[str, type], ...] = (
+    ("chunks_retried", int),
+    ("chunks_fallback", int),
+    ("events", list),
 )
 
 
@@ -207,6 +239,37 @@ class MiningTelemetry:
             sink.log(level, "phase %s seconds=%.6f", name, seconds)
 
 
+def check_fields(
+    record: Any, required: Tuple[Tuple[str, type], ...], what: str
+) -> None:
+    """Raise ``ValueError`` at the first missing or mistyped field.
+
+    ``required`` holds ``(key, type)`` pairs; ``object`` asks only for
+    presence.  The one type rule of every record validator: an ``int``
+    field refuses a ``bool`` and a ``float`` field accepts an ``int``
+    (JSON has one number type).
+
+    Examples
+    --------
+    >>> check_fields({"n": True}, (("n", int),), "run record")
+    Traceback (most recent call last):
+        ...
+    ValueError: run record key 'n' must be int, got bool
+    """
+    for key, expected in required:
+        if key not in record:
+            raise ValueError(f"{what} missing required key {key!r}")
+        value = record[key]
+        accepted = (int, float) if expected is float else expected
+        if not isinstance(value, accepted) or (
+            expected in (int, float) and isinstance(value, bool)
+        ):
+            raise ValueError(
+                f"{what} key {key!r} must be {expected.__name__}, "
+                f"got {type(value).__name__}"
+            )
+
+
 def validate_run_record(record: Mapping[str, object]) -> None:
     """Raise ``ValueError`` unless ``record`` is a valid run record.
 
@@ -220,35 +283,17 @@ def validate_run_record(record: Mapping[str, object]) -> None:
     schema = record.get("schema")
     if schema != RUN_SCHEMA:
         raise ValueError(f"run record schema {schema!r} != {RUN_SCHEMA!r}")
-    for key, expected in _RUN_REQUIRED:
-        if key not in record:
-            raise ValueError(f"run record missing required key {key!r}")
-        value = record[key]
-        if expected is float and isinstance(value, int):
-            value = float(value)
-        if not isinstance(value, expected):
-            raise ValueError(
-                f"run record key {key!r} must be {expected.__name__}, "
-                f"got {type(value).__name__}"
-            )
+    check_fields(record, _RUN_REQUIRED, "run record")
     if record["kind"] != "run":
         raise ValueError(f"run record kind {record['kind']!r} != 'run'")
-    counters = record["counters"]
-    for name in MiningStats.field_names():
-        if name not in counters:  # type: ignore[operator]
-            raise ValueError(f"run record counters missing {name!r}")
+    check_fields(
+        record["counters"],
+        tuple((name, int) for name in MiningStats.field_names()),
+        "run record counters",
+    )
     if "faults" in record:
-        faults = record["faults"]
-        if not isinstance(faults, dict):
-            raise ValueError(
-                f"run record 'faults' must be dict, "
-                f"got {type(faults).__name__}"
-            )
-        for key in ("chunks_retried", "chunks_fallback", "events"):
-            if key not in faults:
-                raise ValueError(f"run record faults missing {key!r}")
-        if not isinstance(faults["events"], list):
-            raise ValueError("run record faults 'events' must be a list")
+        check_fields(record, (("faults", dict),), "run record")
+        check_fields(record["faults"], _RUN_FAULTS, "run record faults")
 
 
 #: Keys every ``repro-sweep/v1`` record must carry, with their types.
@@ -264,11 +309,24 @@ _SWEEP_REQUIRED: Tuple[Tuple[str, type], ...] = (
 )
 
 #: Reuse counters every sweep record's ``counters`` section must carry.
-_SWEEP_COUNTERS = (
-    "cells_total",
-    "cells_mined",
-    "cells_derived",
-    "scans_shared",
+_SWEEP_COUNTERS = tuple(
+    (name, int)
+    for name in ("cells_total", "cells_mined", "cells_derived", "scans_shared")
+)
+
+#: The axes a sweep record's ``grid`` must list.
+_SWEEP_GRID = tuple(
+    (axis, list) for axis in ("pers", "min_ps_values", "min_recs")
+)
+
+#: Keys every cell of a sweep record must carry, with their types.
+_SWEEP_CELL_REQUIRED: Tuple[Tuple[str, type], ...] = (
+    ("params", dict),
+    ("patterns_found", int),
+    ("seconds", float),
+    ("derived", bool),
+    ("counters", dict),
+    ("spans", list),
 )
 
 
@@ -294,40 +352,14 @@ def validate_sweep_record(record: Mapping[str, object]) -> None:
         raise ValueError(
             f"sweep record schema {schema!r} != {SWEEP_SCHEMA!r}"
         )
-    for key, expected in _SWEEP_REQUIRED:
-        if key not in record:
-            raise ValueError(f"sweep record missing required key {key!r}")
-        value = record[key]
-        if expected is float and isinstance(value, int) \
-                and not isinstance(value, bool):
-            value = float(value)
-        if not isinstance(value, expected) or (
-            expected is int and isinstance(value, bool)
-        ):
-            raise ValueError(
-                f"sweep record key {key!r} must be {expected.__name__}, "
-                f"got {type(value).__name__}"
-            )
+    check_fields(record, _SWEEP_REQUIRED, "sweep record")
     if record["kind"] != "sweep":
         raise ValueError(
             f"sweep record kind {record['kind']!r} != 'sweep'"
         )
-    grid = record["grid"]
-    for axis in ("pers", "min_ps_values", "min_recs"):
-        if axis not in grid:  # type: ignore[operator]
-            raise ValueError(f"sweep record grid missing {axis!r}")
-        if not isinstance(grid[axis], list):  # type: ignore[index]
-            raise ValueError(f"sweep record grid {axis!r} must be a list")
+    check_fields(record["grid"], _SWEEP_GRID, "sweep record grid")
     counters = record["counters"]
-    for name in _SWEEP_COUNTERS:
-        if name not in counters:  # type: ignore[operator]
-            raise ValueError(f"sweep record counters missing {name!r}")
-        value = counters[name]  # type: ignore[index]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(
-                f"sweep record counter {name!r} must be int, "
-                f"got {type(value).__name__}"
-            )
+    check_fields(counters, _SWEEP_COUNTERS, "sweep record counters")
     cells = record["cells"]
     expected_cells = counters["cells_total"]  # type: ignore[index]
     if len(cells) != expected_cells:  # type: ignore[arg-type]
@@ -336,26 +368,15 @@ def validate_sweep_record(record: Mapping[str, object]) -> None:
             f"but counters.cells_total = {expected_cells}"
         )
     for cell in cells:  # type: ignore[union-attr]
-        for key in (
-            "params", "patterns_found", "seconds", "derived",
-            "counters", "spans",
-        ):
-            if key not in cell:
-                raise ValueError(f"sweep record cell missing {key!r}")
-        if not isinstance(cell["derived"], bool):
-            raise ValueError("sweep record cell 'derived' must be bool")
-        params = cell["params"]
-        for key in ("per", "min_ps", "min_rec"):
-            if key not in params:
-                raise ValueError(
-                    f"sweep record cell params missing {key!r}"
-                )
+        check_fields(cell, _SWEEP_CELL_REQUIRED, "sweep record cell")
+        check_fields(
+            cell["params"], present("per", "min_ps", "min_rec"),
+            "sweep record cell params",
+        )
         if cell["derived"] and not cell.get("derived_from"):
             raise ValueError(
                 "sweep record derived cell must name 'derived_from'"
             )
-        if not isinstance(cell["spans"], list):
-            raise ValueError("sweep record cell 'spans' must be a list")
 
 
 def validate_qa_record(record: Mapping[str, object]) -> None:
@@ -376,58 +397,20 @@ def validate_qa_record(record: Mapping[str, object]) -> None:
     schema = record.get("schema")
     if schema != QA_SCHEMA:
         raise ValueError(f"qa record schema {schema!r} != {QA_SCHEMA!r}")
-    for key, expected in _QA_REQUIRED:
-        if key not in record:
-            raise ValueError(f"qa record missing required key {key!r}")
-        value = record[key]
-        if expected is float and isinstance(value, int) \
-                and not isinstance(value, bool):
-            value = float(value)
-        if expected is bool:
-            if not isinstance(value, bool):
-                raise ValueError(
-                    f"qa record key {key!r} must be bool, "
-                    f"got {type(value).__name__}"
-                )
-            continue
-        if not isinstance(value, expected) or (
-            expected is int and isinstance(value, bool)
-        ):
-            raise ValueError(
-                f"qa record key {key!r} must be {expected.__name__}, "
-                f"got {type(value).__name__}"
-            )
+    check_fields(record, _QA_REQUIRED, "qa record")
     if record["kind"] != "qa":
         raise ValueError(f"qa record kind {record['kind']!r} != 'qa'")
     relations = record["relations"]
-    for key in ("matrix_complete", "checks", "violations"):
-        if key not in relations:  # type: ignore[operator]
-            raise ValueError(f"qa record relations missing {key!r}")
-    if not isinstance(relations["checks"], list):  # type: ignore[index]
-        raise ValueError("qa record relations 'checks' must be a list")
-    if not isinstance(relations["violations"], list):  # type: ignore[index]
-        raise ValueError("qa record relations 'violations' must be a list")
+    check_fields(relations, _QA_RELATIONS, "qa record relations")
     for check in relations["checks"]:  # type: ignore[index]
-        for key in ("relation", "engine", "jobs", "cases", "violations"):
-            if key not in check:
-                raise ValueError(
-                    f"qa record relation check missing {key!r}"
-                )
+        check_fields(check, _QA_RELATION_CHECK, "qa record relation check")
     golden = record["golden"]
-    if "checks" not in golden:  # type: ignore[operator]
-        raise ValueError("qa record golden missing 'checks'")
-    if not isinstance(golden["checks"], list):  # type: ignore[index]
-        raise ValueError("qa record golden 'checks' must be a list")
+    check_fields(golden, (("checks", list),), "qa record golden")
     for check in golden["checks"]:  # type: ignore[index]
-        for key in ("name", "engine", "status"):
-            if key not in check:
-                raise ValueError(f"qa record golden check missing {key!r}")
-    differential = record["differential"]
-    for key in ("cases", "checks", "failures"):
-        if key not in differential:  # type: ignore[operator]
-            raise ValueError(f"qa record differential missing {key!r}")
-    if not isinstance(differential["failures"], list):  # type: ignore[index]
-        raise ValueError("qa record differential 'failures' must be a list")
+        check_fields(check, _QA_GOLDEN_CHECK, "qa record golden check")
+    check_fields(
+        record["differential"], _QA_DIFFERENTIAL, "qa record differential"
+    )
 
 
 def validate_stream_record(record: Mapping[str, object]) -> None:
@@ -462,26 +445,15 @@ def validate_stream_record(record: Mapping[str, object]) -> None:
             f"stream record kind {kind!r} is not one of "
             f"'stream-checkpoint', 'stream-state'"
         )
-    for key, expected in required:
-        if key not in record:
-            raise ValueError(f"stream record missing required key {key!r}")
-        value = record[key]
-        if not isinstance(value, expected) or (
-            expected is int and isinstance(value, bool)
-        ):
-            raise ValueError(
-                f"stream record key {key!r} must be {expected.__name__}, "
-                f"got {type(value).__name__}"
-            )
+    check_fields(record, required, "stream record")
     if kind == "stream-checkpoint":
         if record["shards"] < 1:  # type: ignore[operator]
             raise ValueError("stream record 'shards' must be >= 1")
-        for key in ("min_ps", "min_rec"):
-            if key not in record["params"]:  # type: ignore[operator]
-                raise ValueError(f"stream record params missing {key!r}")
+        check_fields(
+            record["params"], present("min_ps", "min_rec"),
+            "stream record params",
+        )
     else:
-        if "stream" not in record:
-            raise ValueError("stream record missing required key 'stream'")
         state_kind = record["state"].get("kind")  # type: ignore[union-attr]
         if state_kind not in ("monitor", "calendar-monitor"):
             raise ValueError(
@@ -491,12 +463,12 @@ def validate_stream_record(record: Mapping[str, object]) -> None:
 
 
 class TraceWriter:
-    """JSON-lines trace sink.
+    """JSON-lines trace sink: one complete JSON record per line.
 
-    Each span becomes one ``{"kind": "span", ...}`` line (depth-first,
-    with its dotted ``path``); each completed run contributes a final
-    ``{"kind": "run", ...}`` record.  Every line is a complete JSON
-    document, so a trace interrupted mid-run is still parseable.
+    A completed run contributes its one ``{"kind": "run", ...}`` record,
+    which carries the run's span tree, so a trace holds each span once.
+    Every line is a complete JSON document, so a trace interrupted
+    between records is still parseable.
 
     Examples
     --------
@@ -533,28 +505,8 @@ class TraceWriter:
         self._handle.write(json.dumps(record, sort_keys=False) + "\n")
         self._handle.flush()
 
-    def write_spans(self, spans: Tuple[Span, ...]) -> None:
-        """One line per span, depth-first, with the dotted path."""
-        for root in spans:
-            self._write_span_tree(root, prefix="")
-
-    def _write_span_tree(self, item: Span, prefix: str) -> None:
-        path = f"{prefix}.{item.name}" if prefix else item.name
-        record: Dict[str, object] = {
-            "kind": "span",
-            "path": path,
-            "name": item.name,
-            "seconds": item.seconds,
-        }
-        if item.memory_peak_bytes is not None:
-            record["memory_peak_bytes"] = item.memory_peak_bytes
-        self.write_record(record)
-        for child in item.children:
-            self._write_span_tree(child, prefix=path)
-
     def write_run(self, telemetry: MiningTelemetry) -> None:
-        """A full trace of one run: span lines then the run record."""
-        self.write_spans(telemetry.spans)
+        """One run's ``repro-run/v1`` record, span tree included."""
         self.write_record(telemetry.as_run_record())
 
 
@@ -591,42 +543,90 @@ def read_trace(source: Union[str, IO[str]]) -> List[Dict[str, object]]:
 
 
 def profile_call(
-    fn: Callable[[], object],
+    fn: Callable[
+        [Optional[object]],
+        Tuple[
+            object,
+            Optional[MiningStats],
+            Optional[Callable[[], Dict[str, object]]],
+        ],
+    ],
     engine: str,
+    observability,
     params: Optional[Dict[str, object]] = None,
     dataset: Optional[str] = None,
-    track_memory: bool = False,
-    stats: Optional[MiningStats] = None,
-    count: Callable[[object], int] = lambda result: len(result),  # type: ignore[arg-type]
-) -> Tuple[object, MiningTelemetry]:
-    """Run ``fn`` under a fresh collector and package the telemetry.
+    count: Callable[[object], int] = len,
+) -> Tuple[object, Optional[MiningTelemetry]]:
+    """Run ``fn(monitor)`` with the observability its options ask for.
 
-    This is the generic profiling wrapper for code paths that do not go
-    through ``mine_recurring_patterns`` (baseline miners, the
-    noise-tolerant miner): any :func:`~repro.obs.spans.span` calls made
-    inside ``fn`` are captured as the phase breakdown.
+    The one runner of every observed mining path: ``execute_request``
+    (the façade, CLI ``mine`` and the daemon's misses), and the CLI's
+    noise-tolerant, baseline and ``shard`` runs.  In order, it
 
-    ``count`` extracts ``patterns_found`` from the result (``len`` by
-    default); ``stats`` supplies counters when the callee populates
-    them, otherwise an empty :class:`MiningStats` is attached.
+    1. opens the live monitor ``observability`` asks for (progress,
+       metrics or an injected monitor; it closes only one it built)
+       and reports the finished run to it;
+    2. collects spans while ``fn`` runs, when telemetry is on
+       (``collect_stats`` or ``trace``);
+    3. packages the run's one :class:`MiningTelemetry`;
+    4. writes it to ``observability.trace`` as one run record.
+
+    ``fn`` returns ``(result, stats, extra)``: ``stats`` may be
+    ``None`` (the record then counts only ``patterns_found``), and
+    ``extra``, a zero-argument callable or ``None``, supplies the run
+    record's extra fields and is called only when telemetry is on.
+    ``count`` reads ``patterns_found`` off ``result``; ``dataset`` is
+    the label used when ``observability.dataset`` is unset.
+
+    Returns ``(result, telemetry)``; ``telemetry`` is ``None`` when
+    telemetry is off, and then no span collector is built.
     """
-    collector = SpanCollector(track_memory=track_memory)
-    with collector:
-        with span("run") as run_span:
-            result = fn()
-    run_stats = stats if stats is not None else MiningStats()
-    if run_stats.patterns_found == 0:
-        run_stats.patterns_found = count(result)
+    # progress imports metrics, which imports this module.
+    from repro.obs.progress import open_monitor
+
+    if observability.track_memory and not observability.enabled:
+        warnings.warn(
+            "track_memory=True has no effect without collect_stats or "
+            "trace — no telemetry is collected, so there is nothing to "
+            "attach memory samples to",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    collector = (
+        SpanCollector(track_memory=observability.track_memory)
+        if observability.enabled
+        else None
+    )
+    with open_monitor(observability) as monitor:
+        started = time.perf_counter()
+        with nullcontext() if collector is None else collector:
+            result, stats, extra = fn(monitor)
+        seconds = time.perf_counter() - started
+        found = count(result)
+        if monitor is not None:
+            monitor.run_finished(
+                engine=engine, stats=stats, seconds=seconds,
+                patterns_found=found,
+            )
+    if collector is None:
+        return result, None
     telemetry = MiningTelemetry(
         engine=engine,
         params=dict(params or {}),
-        stats=run_stats,
+        stats=MiningStats(patterns_found=found) if stats is None else stats,
         spans=collector.spans,
-        patterns_found=count(result),
-        seconds=run_span.seconds,
+        patterns_found=found,
+        seconds=seconds,
         memory_peak_bytes=collector.memory_peak_bytes,
-        dataset=dataset,
+        dataset=(
+            dataset if observability.dataset is None
+            else observability.dataset
+        ),
+        extra={} if extra is None else extra(),
     )
+    if observability.trace is not None:
+        with TraceWriter(observability.trace) as writer:
+            writer.write_run(telemetry)
     return result, telemetry
 
 

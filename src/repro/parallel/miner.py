@@ -209,7 +209,11 @@ class ParallelMiner:
         self.last_faults = []
         if self.jobs == 1:
             serial = self._serial_engine()
-            result = mine_serial(serial, self.engine, database, self.monitor)
+            result = mine_serial(
+                f"mine[{self.engine}]",
+                lambda: serial.mine(database),
+                self.monitor,
+            )
             self.last_stats = serial.last_stats
             return result
         stats = MiningStats()

@@ -15,14 +15,13 @@ column is recurrence-filtered down, byte-identical to a fresh mine.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.service.cache": ("CacheEntry", "CacheOutcome", "ResultCache"),
+    "repro.service.cache": ("CacheOutcome", "ResultCache"),
     "repro.service.client": ("ServiceClient", "ServiceError"),
     "repro.service.daemon": ("MiningService", "run_server"),
     "repro.service.jobs": ("Job", "JobStore"),
 })
 
 __all__ = [
-    "CacheEntry",
     "CacheOutcome",
     "Job",
     "JobStore",

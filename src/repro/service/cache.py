@@ -35,15 +35,7 @@ from repro.core.model import RecurringPatternSet
 from repro.core.request import MiningRequest
 from repro.exceptions import ParameterError
 
-__all__ = ["CacheEntry", "CacheOutcome", "ResultCache"]
-
-
-@dataclass
-class CacheEntry:
-    """One cached mine: the patterns plus their ``repro-run/v1`` record."""
-
-    patterns: RecurringPatternSet
-    record: Dict[str, object]
+__all__ = ["CacheOutcome", "ResultCache"]
 
 
 @dataclass
@@ -56,7 +48,6 @@ class CacheOutcome:
     """
 
     patterns: RecurringPatternSet
-    record: Dict[str, object]
     how: str
     base_min_rec: Optional[int] = None
 
@@ -73,7 +64,9 @@ class ResultCache:
             )
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple, CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, RecurringPatternSet]" = (
+            OrderedDict()
+        )
         self._digests: "OrderedDict[str, str]" = OrderedDict()
         self.hits = 0
         self.derived = 0
@@ -84,11 +77,6 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def keys(self):
-        """The cached exact keys, least- to most-recently used."""
-        with self._lock:
-            return list(self._entries)
-
     def get(
         self, request: MiningRequest, dataset_digest: str
     ) -> Optional[CacheOutcome]:
@@ -96,15 +84,11 @@ class ResultCache:
         key = request.cache_key(dataset_digest)
         column = request.column_key(dataset_digest)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            patterns = self._entries.get(key)
+            if patterns is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return CacheOutcome(
-                    patterns=entry.patterns,
-                    record=entry.record,
-                    how="hit",
-                )
+                return CacheOutcome(patterns=patterns, how="hit")
             # The derivation theorem: any cached cell of the same
             # column at a looser (smaller) min_rec can answer.  Prefer
             # the tightest such base — it filters the least.
@@ -122,12 +106,8 @@ class ResultCache:
             base = self._entries[base_key]
             self._entries.move_to_end(base_key)
             self.derived += 1
-            derived = base.patterns.filter(
-                min_recurrence=request.min_rec
-            )
             return CacheOutcome(
-                patterns=derived,
-                record=base.record,
+                patterns=base.filter(min_recurrence=request.min_rec),
                 how="derived",
                 base_min_rec=base_key[4],
             )
@@ -137,7 +117,6 @@ class ResultCache:
         request: MiningRequest,
         dataset_digest: str,
         patterns: RecurringPatternSet,
-        record: Dict[str, object],
     ) -> int:
         """Cache a freshly mined cell, evicting LRU entries if full.
 
@@ -146,9 +125,7 @@ class ResultCache:
         key = request.cache_key(dataset_digest)
         evicted = 0
         with self._lock:
-            self._entries[key] = CacheEntry(
-                patterns=patterns, record=dict(record)
-            )
+            self._entries[key] = patterns
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

@@ -45,10 +45,11 @@ from repro.core.miner import execute_request
 from repro.core.options import ObservabilityOptions
 from repro.core.request import MiningRequest
 from repro.exceptions import ParameterError, ReproError
+from repro.obs.counters import MiningStats
 from repro.obs.metrics import MetricsRegistry, render_prometheus
-from repro.obs.report import TraceWriter, validate_run_record
+from repro.obs.report import MiningTelemetry, TraceWriter, validate_run_record
 from repro.patterns_io import save_patterns
-from repro.service.cache import ResultCache
+from repro.service.cache import CacheOutcome, ResultCache
 from repro.service.jobs import Job, JobStore
 
 __all__ = ["MiningService", "run_server"]
@@ -302,13 +303,10 @@ class MiningService:
             outcome = self.cache.get(request, digest)
             if outcome is not None:
                 patterns = outcome.patterns
-                record = dict(outcome.record)
-                record["params"] = request.thresholds()
-                record["patterns_found"] = len(patterns)
-                record["seconds"] = time.perf_counter() - started
-                record["cache"] = outcome.how
-                if outcome.base_min_rec is not None:
-                    record["cache_base_min_rec"] = outcome.base_min_rec
+                record = _served_record(
+                    request, digest, outcome,
+                    time.perf_counter() - started,
+                )
                 self._counter(
                     "repro_service_cache_hit_total"
                     if outcome.how == "hit"
@@ -336,7 +334,7 @@ class MiningService:
                 record["cache"] = "miss"
                 job.cache = "miss"
                 self._counter("repro_service_cache_miss_total").inc()
-                evicted = self.cache.put(request, digest, patterns, record)
+                evicted = self.cache.put(request, digest, patterns)
                 if evicted:
                     self._counter(
                         "repro_service_cache_evictions_total"
@@ -346,7 +344,6 @@ class MiningService:
             job.patterns_tsv = buffer.getvalue()
             job.patterns_found = len(patterns)
             job.seconds = time.perf_counter() - started
-            job.record = record
             validate_run_record(record)
             self._write_trace(record)
             job.status = "done"
@@ -370,6 +367,26 @@ class MiningService:
             return
         with self._trace_lock:
             self._trace_writer.write_record(record)
+
+
+def _served_record(
+    request: MiningRequest, digest: str, outcome: CacheOutcome, seconds: float
+) -> Dict[str, object]:
+    """A cache-served job's run record: it describes the serve, not the
+    mine that filled the cell — this serve's wall ``seconds``, no spans,
+    and every counter 0 but ``patterns_found``."""
+    found = len(outcome.patterns)
+    extra: Dict[str, object] = {"dataset_digest": digest, "cache": outcome.how}
+    if outcome.base_min_rec is not None:
+        extra["cache_base_min_rec"] = outcome.base_min_rec
+    label = request.observability.dataset
+    return MiningTelemetry(
+        engine=request.engine, params=request.thresholds(),
+        stats=MiningStats(patterns_found=found), spans=(),
+        patterns_found=found, seconds=seconds,
+        dataset=request.source.label if label is None else label,
+        extra=extra,
+    ).as_run_record()
 
 
 def run_server(

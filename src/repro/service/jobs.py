@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.request import MiningRequest
@@ -36,7 +36,6 @@ class Job:
     patterns_found: Optional[int] = None
     error: Optional[str] = None
     patterns_tsv: Optional[str] = None
-    record: Dict[str, object] = field(default_factory=dict)
 
     def as_status(self) -> Dict[str, object]:
         """The ``GET /jobs/{id}`` body."""

@@ -49,7 +49,7 @@ from repro.core.miner import _as_database, run_request
 from repro.core.model import RecurringPatternSet
 from repro.core.options import ObservabilityOptions
 from repro.obs.counters import MiningStats
-from repro.obs.progress import monitor_from_options
+from repro.obs.progress import open_monitor
 from repro.obs.report import (
     SWEEP_SCHEMA,
     TraceWriter,
@@ -236,8 +236,6 @@ def run_sweep(
     obs = observability or ObservabilityOptions()
     dataset = dataset if dataset is not None else obs.dataset
     result = SweepResult(plan=plan, dataset=dataset)
-    monitor = monitor_from_options(obs)
-    owns_monitor = monitor is not None and obs.monitor is None
     started = time.perf_counter()
 
     # Reuse layer 1: one transform, one vertical scan, shared by every
@@ -254,11 +252,8 @@ def run_sweep(
     # The cell-level phase wraps every per-cell mine (whose own
     # ParallelMiner chunk phase stacks on top of it); unit_done on a
     # derived cell is as real a completion as on a mined one.
-    try:
+    with open_monitor(obs) as monitor:
         _run_cells(result, database, plan, obs, monitor, started)
-    finally:
-        if owns_monitor:
-            monitor.close()
 
     if obs.trace is not None:
         record = result.as_record()

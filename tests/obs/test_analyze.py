@@ -29,6 +29,15 @@ def _run_trace(engine="rp-growth"):
     return stream
 
 
+def _run_record(*spans):
+    """A minimal run record carrying ``spans`` (``Span.as_dict`` form)."""
+    return {
+        "kind": "run", "engine": "rp-growth",
+        "seconds": sum(root["seconds"] for root in spans),
+        "spans": list(spans),
+    }
+
+
 class TestIterTrace:
     def test_streams_lazily_from_handle(self):
         stream = io.StringIO('{"a": 1}\n\n{"b": 2}\n')
@@ -53,14 +62,13 @@ class TestIterTrace:
 
 class TestTraceAnalysis:
     def test_buckets_by_kind(self):
+        # A traced run is one line: its run record, spans included.
         analysis = analyze_trace(_run_trace())
         assert len(analysis.runs) == 1
-        assert len(analysis.span_lines) == 4
-        assert analysis.record_count == 5
+        assert analysis.record_count == 1
+        assert analysis.other == []
 
-    def test_run_spans_preferred_over_span_lines(self):
-        # write_run emits span lines AND the run record (which embeds
-        # the same spans) — counting both would double every phase.
+    def test_phase_totals_count_each_run_span_once(self):
         analysis = analyze_trace(_run_trace())
         totals = analysis.phase_totals()
         run = analysis.runs[0]
@@ -72,30 +80,15 @@ class TestTraceAnalysis:
         for name, seconds in recorded.items():
             assert totals[name] == seconds  # not doubled
 
-    def test_span_lines_only_rebuilds_tree(self):
-        records = [
-            {"kind": "span", "path": "mine", "name": "mine",
-             "seconds": 2.0},
-            {"kind": "span", "path": "mine.chunk[0]",
-             "name": "chunk[0]", "seconds": 1.5},
-        ]
-        analysis = TraceAnalysis.from_records(records)
-        roots = analysis.span_roots()
-        assert len(roots) == 1
-        assert roots[0].name == "mine"
-        assert roots[0].children[0].name == "chunk[0]"
-
     def test_critical_path_descends_max_child(self):
-        records = [
-            {"kind": "span", "path": "run", "name": "run",
-             "seconds": 3.0},
-            {"kind": "span", "path": "run.fast", "name": "fast",
-             "seconds": 0.5},
-            {"kind": "span", "path": "run.slow", "name": "slow",
-             "seconds": 2.5},
-            {"kind": "span", "path": "run.slow.inner", "name": "inner",
-             "seconds": 2.0},
-        ]
+        records = [_run_record({
+            "name": "run", "seconds": 3.0,
+            "children": [
+                {"name": "fast", "seconds": 0.5},
+                {"name": "slow", "seconds": 2.5,
+                 "children": [{"name": "inner", "seconds": 2.0}]},
+            ],
+        })]
         analysis = TraceAnalysis.from_records(records)
         assert [name for name, _ in analysis.critical_path()] == [
             "run", "slow", "inner",
@@ -132,13 +125,10 @@ class TestRendering:
         assert "8 patterns" in text
 
     def test_aggregate_shares_count_nested_time_once(self):
-        records = [
-            {"kind": "span", "path": "mine", "name": "mine",
-             "seconds": 2.0},
-            {"kind": "span", "path": "mine.chunk[0]",
-             "name": "chunk[0]", "seconds": 1.5},
-        ]
-        analysis = TraceAnalysis.from_records(records)
+        analysis = TraceAnalysis.from_records([_run_record({
+            "name": "mine", "seconds": 2.0,
+            "children": [{"name": "chunk[0]", "seconds": 1.5}],
+        })])
         assert analysis.phase_totals(exclusive=True) == {
             "mine": 0.5, "chunk[0]": 1.5,
         }
@@ -170,12 +160,10 @@ class TestRendering:
         assert abs(sum(totals.values()) - grand) < 1e-9
 
     def test_render_span_tree_indents_and_shares(self):
-        records = [
-            {"kind": "span", "path": "run", "name": "run",
-             "seconds": 2.0},
-            {"kind": "span", "path": "run.mine", "name": "mine",
-             "seconds": 1.0},
-        ]
+        records = [_run_record({
+            "name": "run", "seconds": 2.0,
+            "children": [{"name": "mine", "seconds": 1.0}],
+        })]
         roots = TraceAnalysis.from_records(records).span_roots()
         text = render_span_tree(roots)
         assert "run  2.000000s (100.0%)" in text

@@ -158,33 +158,6 @@ class TestSnapshot:
         assert total == final["histograms"][0]["count"]
 
 
-class TestMergeSnapshot:
-    def test_counters_add_gauges_overwrite_histograms_elementwise(self):
-        a = MetricsRegistry()
-        a.counter("repro_c_total").inc(1)
-        a.gauge("repro_g").set(1.0)
-        a.histogram("repro_h", boundaries=(1.0,)).observe(0.5)
-        b = MetricsRegistry()
-        b.counter("repro_c_total").inc(2)
-        b.gauge("repro_g").set(7.0)
-        b.histogram("repro_h", boundaries=(1.0,)).observe(2.0)
-        a.merge_snapshot(b.snapshot())
-        record = a.snapshot()
-        assert record["counters"][0]["value"] == 3.0
-        assert record["gauges"][0]["value"] == 7.0
-        hist = record["histograms"][0]
-        assert hist["counts"] == [1, 1]
-        assert hist["count"] == 2
-
-    def test_histogram_boundary_mismatch_rejected(self):
-        a = MetricsRegistry()
-        a.histogram("repro_h", boundaries=(1.0,)).observe(0.5)
-        b = MetricsRegistry()
-        b.histogram("repro_h", boundaries=(2.0,)).observe(0.5)
-        with pytest.raises(ParameterError):
-            a.merge_snapshot(b.snapshot())
-
-
 class TestPrometheusRendering:
     def test_cumulative_buckets_and_inf(self):
         registry = MetricsRegistry()

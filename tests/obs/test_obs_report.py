@@ -6,11 +6,14 @@ import logging
 
 import pytest
 
+from repro.core.options import ObservabilityOptions
 from repro.obs.counters import MiningStats
+from repro.obs.progress import MiningMonitor
 from repro.obs.report import (
     RUN_SCHEMA,
     MiningTelemetry,
     TraceWriter,
+    check_fields,
     profile_call,
     read_trace,
     validate_run_record,
@@ -68,6 +71,20 @@ class TestRunRecord:
         with pytest.raises(ValueError, match="erec_evaluations"):
             validate_run_record(record)
 
+    def test_bool_patterns_found_rejected(self):
+        record = _sample_telemetry().as_run_record()
+        record["patterns_found"] = True
+        with pytest.raises(ValueError, match="'patterns_found' must be int"):
+            validate_run_record(record)
+
+    def test_int_seconds_accepted_bool_seconds_rejected(self):
+        record = _sample_telemetry().as_run_record()
+        record["seconds"] = 1
+        validate_run_record(record)
+        record["seconds"] = False
+        with pytest.raises(ValueError, match="'seconds' must be float"):
+            validate_run_record(record)
+
     def test_phase_seconds_aggregates_by_name(self):
         telemetry = _sample_telemetry()
         phases = telemetry.phase_seconds()
@@ -80,12 +97,13 @@ class TestTraceRoundTrip:
         telemetry = _sample_telemetry()
         with TraceWriter(str(path)) as writer:
             writer.write_run(telemetry)
-        records = read_trace(str(path))
-        kinds = [record["kind"] for record in records]
-        assert kinds == ["span", "span", "span", "run"]
-        assert records[2]["path"] == "mine.conditional"
-        validate_run_record(records[-1])
-        assert records[-1]["patterns_found"] == 8
+        (record,) = read_trace(str(path))  # the run record, nothing else
+        validate_run_record(record)
+        assert record["patterns_found"] == 8
+        mine = record["spans"][1]
+        assert [child["name"] for child in mine["children"]] == [
+            "conditional"
+        ]
 
     def test_writer_accepts_open_handle(self):
         handle = io.StringIO()
@@ -118,19 +136,73 @@ class TestSummaryAndLogging:
         assert any(m.startswith("phase mine") for m in messages)
 
 
+class TestCheckFields:
+    def test_one_rule_for_every_schema(self):
+        required = (("n", int), ("x", float), ("ok", bool))
+        check_fields({"n": 1, "x": 2, "ok": True}, required, "qa record")
+        for bad, key in (
+            ({"n": True, "x": 2.0, "ok": True}, "'n' must be int"),
+            ({"n": 1, "x": "2", "ok": True}, "'x' must be float"),
+            ({"n": 1, "x": 2.0, "ok": 1}, "'ok' must be bool"),
+            ({"n": 1, "ok": True}, "missing required key 'x'"),
+        ):
+            with pytest.raises(ValueError, match=key):
+                check_fields(bad, required, "qa record")
+
+
+def _work(monitor):
+    with span("inner"):
+        pass
+    return [1, 2, 3], None, lambda: {"dataset_digest": "d"}
+
+
 class TestProfileCall:
     def test_wraps_any_callable(self):
-        def work():
-            with span("inner"):
-                pass
-            return [1, 2, 3]
-
         result, telemetry = profile_call(
-            work, engine="baseline/frequent", params={"min_sup": 2}
+            _work, "baseline/frequent",
+            ObservabilityOptions(collect_stats=True),
+            params={"min_sup": 2},
         )
         assert result == [1, 2, 3]
         assert telemetry.patterns_found == 3
-        (run,) = telemetry.spans
-        assert run.name == "run"
-        assert [c.name for c in run.children] == ["inner"]
-        validate_run_record(telemetry.as_run_record())
+        assert telemetry.stats == MiningStats(patterns_found=3)
+        (inner,) = telemetry.spans
+        assert inner.name == "inner"
+        record = telemetry.as_run_record()
+        validate_run_record(record)
+        assert record["dataset_digest"] == "d"
+
+    def test_telemetry_off_collects_nothing(self):
+        def work(monitor):
+            assert monitor is None
+            return [1], None, pytest.fail  # extra must not be called
+
+        assert profile_call(
+            work, "x", ObservabilityOptions(progress=False)
+        ) == ([1], None)
+
+    def test_trace_holds_one_run_record(self):
+        handle = io.StringIO()
+        profile_call(
+            _work, "x", ObservabilityOptions(trace=handle, progress=False)
+        )
+        (record,) = read_trace(io.StringIO(handle.getvalue()))
+        validate_run_record(record)
+        assert [root["name"] for root in record["spans"]] == ["inner"]
+
+    def test_closes_only_a_monitor_it_built(self):
+        metrics = io.StringIO()
+        seen = []
+
+        def work(monitor):
+            seen.append(monitor)
+            return [], None, None
+
+        profile_call(
+            work, "x", ObservabilityOptions(progress=False, metrics=metrics)
+        )
+        assert seen[0]._closed
+        assert '"repro_runs_total"' in metrics.getvalue()
+        injected = MiningMonitor()
+        profile_call(work, "x", ObservabilityOptions(monitor=injected))
+        assert seen[1] is injected and not injected._closed

@@ -66,7 +66,7 @@ def test_derived_answer_is_byte_identical_to_fresh_mine(engine, case):
     loose = MiningRequest(
         per=per, min_ps=min_ps, min_rec=min_rec, engine=engine
     )
-    cache.put(loose, digest, _mine(database, loose), {"schema": "x"})
+    cache.put(loose, digest, _mine(database, loose))
 
     for delta in (0, 1, 3):
         tight = loose.with_thresholds(min_rec=min_rec + delta)
@@ -86,9 +86,7 @@ def test_derivation_prefers_the_tightest_cached_base(running_example):
     cache = ResultCache()
     for min_rec in (1, 2):
         request = MiningRequest(per=2, min_ps=3, min_rec=min_rec)
-        cache.put(
-            request, digest, _mine(running_example, request), {}
-        )
+        cache.put(request, digest, _mine(running_example, request))
     outcome = cache.get(
         MiningRequest(per=2, min_ps=3, min_rec=3), digest
     )
@@ -100,7 +98,7 @@ def test_looser_requests_never_served_from_tighter_cells(running_example):
     digest = running_example.digest()
     cache = ResultCache()
     tight = MiningRequest(per=2, min_ps=3, min_rec=2)
-    cache.put(tight, digest, _mine(running_example, tight), {})
+    cache.put(tight, digest, _mine(running_example, tight))
     assert cache.get(
         MiningRequest(per=2, min_ps=3, min_rec=1), digest
     ) is None
@@ -110,7 +108,7 @@ def test_no_cross_contamination(running_example):
     digest = running_example.digest()
     cache = ResultCache()
     request = MiningRequest(per=2, min_ps=3, min_rec=1)
-    cache.put(request, digest, _mine(running_example, request), {})
+    cache.put(request, digest, _mine(running_example, request))
     # Different digest, engine, per or min_ps: all misses.
     assert cache.get(request, "other-digest") is None
     for other in (
@@ -132,7 +130,7 @@ def test_lru_eviction_drops_the_oldest_entry(running_example):
     ]
     patterns = _mine(running_example, requests[1])
     for request in requests:
-        cache.put(request, digest, patterns, {})
+        cache.put(request, digest, patterns)
     assert len(cache) == 2
     assert cache.stats()["evictions"] == 1
     assert cache.get(requests[0], digest) is None  # evicted
@@ -147,10 +145,10 @@ def test_a_hit_refreshes_recency(running_example):
     b = MiningRequest(per=2, min_ps=3)
     c = MiningRequest(per=3, min_ps=3)
     patterns = _mine(running_example, b)
-    cache.put(a, digest, patterns, {})
-    cache.put(b, digest, patterns, {})
+    cache.put(a, digest, patterns)
+    cache.put(b, digest, patterns)
     cache.get(a, digest)  # a becomes most recent
-    cache.put(c, digest, patterns, {})  # evicts b, not a
+    cache.put(c, digest, patterns)  # evicts b, not a
     assert cache.get(a, digest) is not None
     assert cache.get(b, digest) is None
 
@@ -161,9 +159,9 @@ def test_put_returns_its_own_evictions(running_example):
     a = MiningRequest(per=1, min_ps=3)
     b = MiningRequest(per=2, min_ps=3)
     patterns = _mine(running_example, a)
-    assert cache.put(a, digest, patterns, {}) == 0
-    assert cache.put(a, digest, patterns, {}) == 0  # a replace
-    assert cache.put(b, digest, patterns, {}) == 1
+    assert cache.put(a, digest, patterns) == 0
+    assert cache.put(a, digest, patterns) == 0  # a replace
+    assert cache.put(b, digest, patterns) == 1
     assert cache.stats()["evictions"] == 1
 
 
@@ -178,7 +176,7 @@ def test_concurrent_puts_report_every_eviction_once(running_example):
         for n in range(per_thread):
             per = 1 + index * per_thread + n
             request = MiningRequest(per=per, min_ps=3)
-            reported[index] += cache.put(request, digest, patterns, {})
+            reported[index] += cache.put(request, digest, patterns)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -221,7 +219,7 @@ def test_stats_counts_every_outcome(running_example):
     cache = ResultCache()
     request = MiningRequest(per=2, min_ps=3, min_rec=1)
     assert cache.get(request, digest) is None
-    cache.put(request, digest, _mine(running_example, request), {})
+    cache.put(request, digest, _mine(running_example, request))
     cache.get(request, digest)
     cache.get(request.with_thresholds(min_rec=2), digest)
     assert cache.stats() == {

@@ -525,6 +525,36 @@ def test_every_served_job_emits_a_valid_run_record(
     assert records[2]["cache_base_min_rec"] == 1
 
 
+def test_served_records_describe_the_serve(tmp_path, example_ref, capsys):
+    from repro.cli import main
+
+    trace_path = tmp_path / "service.jsonl"
+    with running_service(trace=str(trace_path)) as service:
+        client = ServiceClient(port=service.port)
+        loose = MiningRequest(per=2, min_ps=3, min_rec=1, source=example_ref)
+        for request in (loose, loose, loose.with_thresholds(min_rec=2)):
+            job_id = client.submit(request)
+            assert client.wait(job_id, timeout=60)["status"] == "done"
+    miss, hit, derived = iter_trace(str(trace_path))
+    assert miss["counters"]["erec_evaluations"] > 0
+    assert [root["name"] for root in miss["spans"]] == [
+        "transform", "first_scan", "tree_build", "mine",
+    ]
+    for served, found in ((hit, miss["patterns_found"]), (derived, 8)):
+        assert served["patterns_found"] == found
+        assert served["spans"] == []
+        assert served["counters"] == {
+            name: found if name == "patterns_found" else 0
+            for name in miss["counters"]
+        }
+        assert served["dataset"] == miss["dataset"]
+    # A trace of the daemon counts the one mine once.
+    assert main(["trace", "--input", str(trace_path)]) == 0
+    report = capsys.readouterr().out
+    tree = report.split("span tree:")[1].split("per-phase aggregate")[0]
+    assert tree.count("first_scan") == 1
+
+
 # ----------------------------------------------------------------------
 # The thin CLI client against a live daemon
 # ----------------------------------------------------------------------
