@@ -47,7 +47,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.obs.counters": ("MiningStats",),
     "repro.obs.report": ("MiningTelemetry",),
     "repro.obs.spans": ("SpanCollector", "span"),
-    "repro.parallel.miner": ("ParallelMiner",),
     "repro.streaming.calendar": (
         "CalendarPeriod", "CalendarRecurrenceMonitor",
         "mine_calendar_patterns",
@@ -75,7 +74,6 @@ __all__ = [
     "DatasetRef",
     "execute_request",
     "RPGrowth",
-    "ParallelMiner",
     "MiningStats",
     "MiningParameters",
     "RecurringPattern",

@@ -18,14 +18,13 @@ capability flags —
     exists as an obviously-correct reference for small inputs, and
     consumers like the golden corpus exclude it from large cases.
 
-A factory is called as ``factory(per, min_ps, min_rec, **options)``
-and returns an object with ``mine(database)`` and ``last_stats``
-(the :class:`~repro.obs.counters.StatsSource` protocol).  Factories
-accept the engine-specific options they understand (``item_order``,
-``max_length``) and ignore the rest, so one call site can drive any
-engine.  The factory is the only way the library builds an
-engine — serial runs, :class:`~repro.parallel.ParallelMiner` and its
-pool workers alike.
+A factory is called as ``factory(per, min_ps, min_rec)`` and returns
+an object with ``mine(database)`` and ``last_stats`` (the
+:class:`~repro.obs.counters.StatsSource` protocol).  The factory is
+the only way the library builds an engine — serial runs, the parallel
+parent, its pool workers and its serial fallback alike.  Engine
+options such as ``RPGrowth(item_order=)`` belong to the engine
+classes, for direct use.
 
 Examples
 --------
@@ -91,8 +90,8 @@ def register_engine(
 ) -> EngineSpec:
     """Register a mining engine under ``name``.
 
-    ``factory(per, min_ps, min_rec, **options)`` must return an object
-    with ``mine(database)`` and ``last_stats``.  Registering an
+    ``factory(per, min_ps, min_rec)`` must return an object with
+    ``mine(database)`` and ``last_stats``.  Registering an
     existing name raises :class:`~repro.exceptions.ParameterError`
     unless ``replace=True``.
 
@@ -150,29 +149,18 @@ def engine_names(*, supports_jobs: Optional[bool] = None) -> tuple:
 
 # ----------------------------------------------------------------------
 # Built-in engine factories (lazy imports keep start-up cheap and
-# avoid import cycles; ``**_ignored`` lets one call site pass the union
-# of engine options to any factory).
+# avoid import cycles).
 # ----------------------------------------------------------------------
-def _make_rp_growth(
-    per,
-    min_ps,
-    min_rec,
-    *,
-    item_order: str = "support-desc",
-    max_length=None,
-    **_ignored,
-):
+def _make_rp_growth(per, min_ps, min_rec):
     from repro.core.rp_growth import RPGrowth
 
-    return RPGrowth(
-        per, min_ps, min_rec, item_order=item_order, max_length=max_length
-    )
+    return RPGrowth(per, min_ps, min_rec)
 
 
-def _make_rp_eclat_vec(per, min_ps, min_rec, *, max_length=None, **_ignored):
+def _make_rp_eclat_vec(per, min_ps, min_rec):
     from repro.core.rp_eclat_vec import RPEclatVec
 
-    return RPEclatVec(per, min_ps, min_rec, max_length=max_length)
+    return RPEclatVec(per, min_ps, min_rec)
 
 
 class _NaiveEngine:
@@ -196,7 +184,7 @@ class _NaiveEngine:
         return result
 
 
-def _make_naive(per, min_ps, min_rec, **_ignored):
+def _make_naive(per, min_ps, min_rec):
     return _NaiveEngine(per, min_ps, min_rec)
 
 

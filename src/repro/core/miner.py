@@ -277,15 +277,9 @@ def run_request(
     """
     with paused_gc():
         if request.jobs > 1:
-            from repro.parallel import ParallelMiner
+            from repro.parallel.miner import mine_parallel
 
-            miner = ParallelMiner(
-                request.per, request.min_ps, request.min_rec,
-                engine=request.engine, jobs=request.jobs,
-                resilience=request.resilience, monitor=monitor,
-            )
-            result = miner.mine(database)
-            return result, miner.last_stats or MiningStats(), miner.last_faults
+            return mine_parallel(database, request, monitor=monitor)
         serial = get_engine(request.engine).factory(
             request.per, request.min_ps, request.min_rec
         )
@@ -302,9 +296,8 @@ def mine_serial(label: str, mine: Callable[[], T], monitor=None) -> T:
 
     ``monitor`` sees the run as a one-unit ``label`` phase plus the
     in-process heartbeat, so progress and metrics never go silent on a
-    serial path: :func:`run_request` and ``ParallelMiner(jobs=1)``
-    (``mine[engine]``), and the CLI's noise-tolerant and baseline
-    miners.
+    serial path: :func:`run_request` (``mine[engine]``) and the CLI's
+    noise-tolerant and baseline miners.
     """
     if monitor is None:
         return mine()

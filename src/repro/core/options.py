@@ -2,8 +2,8 @@
 
 Two frozen dataclasses bundle the cross-cutting knobs so that every
 entry point (:func:`repro.mine_recurring_patterns`,
-:func:`repro.sweep.run_sweep`, :class:`repro.parallel.ParallelMiner`,
-the CLI, the bench harness) shares the same vocabulary:
+:func:`repro.sweep.run_sweep`, the CLI, the bench harness) shares the
+same vocabulary:
 
 * :class:`ResilienceOptions` — how parallel chunk failures are
   detected and handled;

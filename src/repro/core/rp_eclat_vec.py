@@ -41,7 +41,7 @@ minPS * minRec`` is dropped.  The answer is the same, only more nodes
 are expanded: the Section 4.1 ablation (DESIGN.md E-A1).
 
 The engine speaks the standard vertical worker protocol
-(``_first_scan`` / ``_grow``), so :class:`~repro.parallel.ParallelMiner`
+(``_first_scan`` / ``_grow``), so :mod:`repro.parallel`
 prefix-partitions it like any other vertical engine; ``_grow`` runs the
 same level loop seeded with a single root.  Workers receive the shared
 timestamp column through a :class:`VecContext` shipped once via the

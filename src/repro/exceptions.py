@@ -71,9 +71,8 @@ class ChunkFailedError(ReproError, RuntimeError):
         mined, as strings.
     partial:
         A ``RecurringPatternSet`` holding every pattern recovered from
-        the chunks that did succeed (plus, for RP-growth, the
-        1-extension patterns of the serial header sweep).  The set is
-        complete for every prefix *not* listed in ``failed_prefixes``.
+        the chunks that did succeed.  The set is complete for every
+        prefix *not* listed in ``failed_prefixes``.
     events:
         The ``FaultEvent`` log of the run — one entry per retry and
         per exhausted chunk, in occurrence order.

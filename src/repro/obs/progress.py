@@ -244,9 +244,9 @@ class MiningMonitor:
       snapshots.
 
     Phases form a stack — ``run_sweep`` opens a cell-level phase, and
-    each mined cell's :class:`~repro.parallel.ParallelMiner` may open a
-    chunk-level phase on top of it.  ``unit_done`` always advances the
-    innermost phase.
+    each mined cell's :func:`~repro.parallel.miner.mine_parallel` may
+    open a chunk-level phase on top of it.  ``unit_done`` always
+    advances the innermost phase.
     """
 
     def __init__(

@@ -78,9 +78,8 @@ class Span:
         The absolute ``started`` instant is not serialized (it is only
         meaningful within one process's ``perf_counter`` clock), so the
         rebuilt span carries ``started=0.0``.  Durations, names, peak
-        memory and children round-trip exactly; this is how the
-        parallel layer folds worker-process spans into the parent
-        collector's tree.
+        memory and children round-trip exactly; this is how
+        ``repro-mine trace`` rebuilds the span trees of a trace file.
         """
         return cls(
             name=str(record["name"]),

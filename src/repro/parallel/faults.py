@@ -17,7 +17,7 @@ chunk fails, on which execution, and how —
     straggler, not a failure;
 ``poison``
     the worker returns a corrupted payload instead of the
-    ``(patterns, stats, spans)`` triple, exercising result validation.
+    ``(patterns, stats, seconds)`` triple, exercising result validation.
 
 The plan travels into every worker through the pool initializer
 (:func:`init_worker`, which chains the engine's own initializer), and
@@ -28,19 +28,18 @@ worker process picks the chunk up.
 
 The module also owns the *marker protocol* the supervisor uses to
 attribute failures after a pool death: before running a chunk the
-worker touches ``start-<chunk>-<execution>`` in a parent-owned marker
-directory, and after finishing it touches ``done-<chunk>-<execution>``.
-When the pool breaks, chunks with a ``start`` but no ``done`` marker
-were executing and are charged a retry; chunks never started (or
-finished with the result lost in transit) are resubmitted without
-burning a retry credit.
+worker writes its first heartbeat, ``beat-<chunk>-<execution>``, in a
+parent-owned marker directory, and after finishing it touches
+``done-<chunk>-<execution>``.  When the pool breaks, chunks with a
+``beat`` but no ``done`` marker were executing and are charged a
+retry; chunks never started (or finished with the result lost in
+transit) are resubmitted without burning a retry credit.
 
-The same directory carries the **heartbeat channel**: when a chunk
-starts, the worker writes ``beat-<chunk>-<execution>`` containing its
-pid, and the chunk loops call :func:`maybe_beat` between tasks to
-re-touch it (rate-limited).  No background thread beats on the
-worker's behalf — deliberately, so a worker stuck *inside* one task
-(or asleep under an injected ``hang``) stops beating and the
+The ``beat`` file is also the **heartbeat channel**: it holds the
+worker's pid, and the chunk loops call :func:`maybe_beat` between
+tasks to re-touch it (rate-limited).  No background thread beats on
+the worker's behalf — deliberately, so a worker stuck *inside* one
+task (or asleep under an injected ``hang``) stops beating and the
 supervisor can report "worker N silent for Xs" from the file's mtime
 *before* the chunk deadline fires.
 """
@@ -280,16 +279,15 @@ def guarded_chunk(chunk_fn, chunk_id: int, payload, execution: int):
     """Run one chunk inside a worker, applying any planned fault.
 
     This is the callable the supervisor actually submits to the pool:
-    it brackets ``chunk_fn(chunk_id, payload)`` with the start/done
-    markers (plus an initial heartbeat) and consults the installed
+    it brackets ``chunk_fn(chunk_id, payload)`` with the first
+    heartbeat and the done marker and consults the installed
     :class:`FaultPlan` first.  The heartbeat is written *before* the
-    fault check on purpose: an injected ``hang`` then looks exactly
-    like a production hang — one beat at chunk start, silence after.
-    With no plan installed (production) the overhead is three
-    ``open()`` calls per chunk.
+    fault check on purpose: it marks the chunk as started, and an
+    injected ``hang`` then looks exactly like a production hang — one
+    beat at chunk start, silence after.  With no plan installed
+    (production) the overhead is two ``open()`` calls per chunk.
     """
     global _CURRENT, _LAST_BEAT
-    _mark("start", chunk_id, execution)
     _CURRENT = (chunk_id, execution)
     _LAST_BEAT = time.monotonic()
     _write_beat(chunk_id, execution)

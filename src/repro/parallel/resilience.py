@@ -3,13 +3,14 @@
 PR 2's fan-out was fire-and-forget: one ``future.result()`` per chunk,
 so a single OOM-killed fork, pickling failure or hung worker aborted
 the whole mine with a bare ``BrokenProcessPool`` and no partial result.
-This module is the supervision layer between :class:`ParallelMiner`
-and the ``ProcessPoolExecutor``:
+This module is the supervision layer between
+:func:`~repro.parallel.miner.mine_parallel` and the
+``ProcessPoolExecutor``:
 
 * **detection** — per-chunk worker exceptions, corrupted (poisoned)
   result payloads, pool breakage (``BrokenProcessPool``) and per-chunk
   ``timeout=`` deadlines are all recognised and *attributed to a
-  specific chunk* using the start/done marker protocol of
+  specific chunk* using the beat/done marker protocol of
   :mod:`repro.parallel.faults`;
 * **retry** — a failed chunk is resubmitted up to
   ``max_retries`` times with exponential backoff and deterministic
@@ -24,8 +25,7 @@ and the ``ProcessPoolExecutor``:
 * **telemetry** — every retry and fallback is recorded as a
   :class:`FaultEvent` (surfaced as the ``faults`` section of the
   ``repro-run/v1`` trace record and the ``chunks_retried`` /
-  ``chunks_fallback`` counters) and as ``retry`` / ``fallback`` spans
-  nested under the parent's ``mine`` span;
+  ``chunks_fallback`` counters) and reported to the monitor;
 * **liveness** — with a :class:`~repro.obs.progress.MiningMonitor`
   attached, each accepted chunk advances the live progress bar, every
   in-flight chunk's heartbeat age (from the ``beat-*`` marker files of
@@ -47,6 +47,7 @@ asserts this for every fault kind and engine.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import shutil
 import tempfile
@@ -58,7 +59,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.options import ResilienceOptions
-from repro.obs.spans import Span, span
 from repro.parallel import faults as _faults
 
 __all__ = [
@@ -136,7 +136,7 @@ class _Flight:
 
 
 def _valid_result(value: object) -> bool:
-    """Is ``value`` a structurally sound ``(patterns, stats, spans)``?
+    """Is ``value`` a structurally sound ``(patterns, stats, seconds)``?
 
     The import lives inside the function so this module stays cheap to
     import from worker processes.
@@ -146,14 +146,12 @@ def _valid_result(value: object) -> bool:
 
     if not isinstance(value, tuple) or len(value) != 3:
         return False
-    patterns, stats, spans = value
+    patterns, stats, seconds = value
     if not isinstance(patterns, list) or not isinstance(stats, MiningStats):
         return False
     if not all(isinstance(p, RecurringPattern) for p in patterns):
         return False
-    if not isinstance(spans, list):
-        return False
-    return all(isinstance(record, dict) for record in spans)
+    return isinstance(seconds, float)
 
 
 def _stop_pool(pool: ProcessPoolExecutor) -> None:
@@ -182,7 +180,6 @@ def _stop_pool(pool: ProcessPoolExecutor) -> None:
 def supervise(
     *,
     workers: int,
-    mp_context,
     initializer: Callable[..., None],
     initargs: tuple,
     chunk_fn: Callable,
@@ -192,13 +189,16 @@ def supervise(
 ) -> Tuple[List[Optional[tuple]], List[FaultEvent], List[int]]:
     """Run every chunk to an accepted result, a fallback, or a verdict.
 
-    Parameters mirror :class:`ParallelMiner`'s pool plumbing:
     ``chunk_fn(chunk_id, payloads[chunk_id])`` is the engine's chunk
     function, ``initializer(*initargs)`` its per-worker setup.  The
     supervisor wraps both — workers run
     :func:`repro.parallel.faults.guarded_chunk` under a chained
     initializer that installs ``resilience.fault_plan`` (``None`` in
-    production) and the failure-attribution markers.
+    production) and the failure-attribution markers.  ``workers`` is
+    the pool size; a pool starts its workers with ``fork`` where
+    :func:`multiprocessing.get_all_start_methods` offers it (cheap,
+    inherits the imported library), else with ``spawn``.  Both work
+    because worker state travels through the initializer.
     ``resilience`` is the run's
     :class:`~repro.core.options.ResilienceOptions`: its ``timeout`` is
     the per-chunk deadline, measured from submission to the pool (a
@@ -216,7 +216,7 @@ def supervise(
     -------
     (results, events, failed):
         ``results[i]`` is chunk ``i``'s accepted ``(patterns, stats,
-        spans)`` triple — from its first successful pool execution, or
+        seconds)`` triple — from its first successful pool execution, or
         from the in-process serial fallback — or ``None`` when the
         chunk failed terminally under ``fallback="raise"``; ``events``
         is the fault log; ``failed`` lists the terminally failed chunk
@@ -242,11 +242,15 @@ def supervise(
     queue: List[Tuple[int, float]] = [(index, 0.0) for index in range(total)]
     barren_pool_deaths = 0
     serial_ready = False
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else "spawn"
+    )
 
     def make_pool() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=mp_context,
+            workers,
+            context,
             initializer=_faults.init_worker,
             initargs=(
                 resilience.fault_plan, marker_dir, initializer, initargs
@@ -259,13 +263,7 @@ def supervise(
         if not serial_ready:
             initializer(*initargs)
             serial_ready = True
-        with span("fallback") as fallback_span:
-            if fallback_span is not None:
-                fallback_span.children.append(
-                    Span(name=f"chunk[{chunk}]", started=0.0)
-                )
-            value = chunk_fn(chunk, payloads[chunk])
-        results[chunk] = value
+        results[chunk] = chunk_fn(chunk, payloads[chunk])
         if monitor is not None:
             # A serial fallback still counts as progress — requesting
             # live output must never go silent just because the pool
@@ -281,15 +279,6 @@ def supervise(
             events.append(FaultEvent(chunk, execution, reason, "retry"))
             if monitor is not None:
                 monitor.fault("retry", chunk, reason)
-            with span("retry") as retry_span:
-                if retry_span is not None:
-                    retry_span.children.append(
-                        Span(
-                            name=f"chunk[{chunk}] execution {execution}: "
-                            f"{reason}",
-                            started=0.0,
-                        )
-                    )
             queue.append(
                 (chunk, time.monotonic() + _retry_delay(chunk, state.failures))
             )
@@ -309,7 +298,7 @@ def supervise(
     def requeue_after_pool_death(flight: _Flight, reason: str) -> None:
         """Marker-based attribution after the pool died under us."""
         started = _faults.has_marker(
-            marker_dir, "start", flight.chunk, flight.execution
+            marker_dir, "beat", flight.chunk, flight.execution
         )
         finished = _faults.has_marker(
             marker_dir, "done", flight.chunk, flight.execution
@@ -456,13 +445,13 @@ def supervise(
                     )
 
             if pool_broke:
-                had_start_markers = any(
+                had_started = any(
                     _faults.has_marker(
-                        marker_dir, "start", flight.chunk, flight.execution
+                        marker_dir, "beat", flight.chunk, flight.execution
                     )
                     for flight in in_flight.values()
                 )
-                if had_start_markers:
+                if had_started:
                     barren_pool_deaths = 0
                     drain_pool("worker crashed (pool broke)",
                                charge_all=False)

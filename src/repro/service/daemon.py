@@ -282,6 +282,8 @@ class MiningService:
         cache's memo maps those bytes' SHA-256 to the canonical digest,
         so a hit or a derivation never parses.  Bytes the memo has not
         seen, and misses, are parsed: the very bytes that were hashed.
+        Every run record's ``seconds`` is the job's own: read, hash,
+        parse, lookup or mine, and the TSV write.
         """
         started = time.perf_counter()
         try:
@@ -303,10 +305,7 @@ class MiningService:
             outcome = self.cache.get(request, digest)
             if outcome is not None:
                 patterns = outcome.patterns
-                record = _served_record(
-                    request, digest, outcome,
-                    time.perf_counter() - started,
-                )
+                record = _served_record(request, digest, outcome)
                 self._counter(
                     "repro_service_cache_hit_total"
                     if outcome.how == "hit"
@@ -343,7 +342,7 @@ class MiningService:
             save_patterns(patterns, buffer)
             job.patterns_tsv = buffer.getvalue()
             job.patterns_found = len(patterns)
-            job.seconds = time.perf_counter() - started
+            job.seconds = record["seconds"] = time.perf_counter() - started
             validate_run_record(record)
             self._write_trace(record)
             job.status = "done"
@@ -370,11 +369,11 @@ class MiningService:
 
 
 def _served_record(
-    request: MiningRequest, digest: str, outcome: CacheOutcome, seconds: float
+    request: MiningRequest, digest: str, outcome: CacheOutcome
 ) -> Dict[str, object]:
     """A cache-served job's run record: it describes the serve, not the
-    mine that filled the cell — this serve's wall ``seconds``, no spans,
-    and every counter 0 but ``patterns_found``."""
+    mine that filled the cell — no spans, and every counter 0 but
+    ``patterns_found``.  The caller sets ``seconds`` to the job's."""
     found = len(outcome.patterns)
     extra: Dict[str, object] = {"dataset_digest": digest, "cache": outcome.how}
     if outcome.base_min_rec is not None:
@@ -383,7 +382,7 @@ def _served_record(
     return MiningTelemetry(
         engine=request.engine, params=request.thresholds(),
         stats=MiningStats(patterns_found=found), spans=(),
-        patterns_found=found, seconds=seconds,
+        patterns_found=found, seconds=0.0,
         dataset=request.source.label if label is None else label,
         extra=extra,
     ).as_run_record()

@@ -7,7 +7,7 @@ than one shard (plus output-sized candidate state) in memory:
 1. **Plan** — :class:`~repro.shard.planner.ShardPlanner` cuts the time
    axis into bounded shards (never splitting a timestamp).
 2. **Mine** — every shard mines independently through the existing
-   engine / ParallelMiner / resilience stack at the caller's ``per``
+   engine / parallel / resilience stack at the caller's ``per``
    and ``min_ps`` but relaxed ``min_rec = 1``: any pattern with an
    interesting interval wholly inside some shard becomes a candidate.
    Meanwhile a :class:`~repro.shard.candidates.BoundaryWindowCollector`

@@ -15,7 +15,7 @@ with three reuse layers instead:
    :mod:`repro.sweep.engine`), so a whole ``minRec`` column costs one
    mine plus filters;
 3. **cell scheduling** — cells that must be mined run through the
-   existing :class:`~repro.parallel.ParallelMiner`/resilience layer.
+   existing :mod:`repro.parallel` resilience layer.
 
 Entry points: build a :class:`~repro.sweep.plan.SweepPlan`, call
 :func:`~repro.sweep.engine.run_sweep`, read the

@@ -29,7 +29,7 @@ computed once and shared by every mined cell.
 
 **Cell scheduling (reuse layer 3).**  Cells that must actually be
 mined run through the same engine dispatch as the façade — including
-the :class:`~repro.parallel.ParallelMiner` resilience layer when
+the :mod:`repro.parallel` resilience layer when
 ``plan.jobs > 1`` (per-cell timeout/retry/fallback via
 ``plan.resilience``).
 
@@ -250,7 +250,7 @@ def run_sweep(
     _fold_memory(result, transform_collector)
 
     # The cell-level phase wraps every per-cell mine (whose own
-    # ParallelMiner chunk phase stacks on top of it); unit_done on a
+    # parallel chunk phase stacks on top of it); unit_done on a
     # derived cell is as real a completion as on a mined one.
     with open_monitor(obs) as monitor:
         _run_cells(result, database, plan, obs, monitor, started)

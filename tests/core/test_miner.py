@@ -76,8 +76,9 @@ class TestEngineSelection:
 class TestUntracedPath:
     """Default options build no telemetry machinery in this process.
 
-    No span collector, no dataset digest and no live monitor; a
-    ``jobs=2`` pool's workers keep their own per-chunk collectors.
+    No span collector, no dataset digest and no live monitor, in this
+    process or in a ``jobs=2`` pool's workers (see
+    ``tests/parallel/test_parallel_miner.py``).
     """
 
     @pytest.mark.parametrize("jobs", [1, 2])

@@ -6,7 +6,6 @@ import pytest
 
 from repro import (
     ObservabilityOptions,
-    ParallelMiner,
     ResilienceOptions,
     mine_recurring_patterns,
 )
@@ -82,8 +81,6 @@ class TestFacadeIntegration:
                 paper_running_example(), per=2, min_ps=3, min_rec=2,
                 timeout=5.0,
             )
-        with pytest.raises(TypeError, match="timeout"):
-            ParallelMiner(per=2, min_ps=3, min_rec=2, timeout=5.0)
 
     def test_track_memory_without_telemetry_warns(self):
         """Regression pin: this used to silently do nothing."""

@@ -12,17 +12,23 @@ planted workload (known ground truth) and noise-corrupted variants
 (dropout and jitter — irregular ts-lists exercise the merge paths).
 """
 
+import multiprocessing
+
 import pytest
 
-from repro.core.engines import engine_names
-from repro.core.miner import mine_recurring_patterns
+from repro.core.engines import (
+    engine_names,
+    register_engine,
+    unregister_engine,
+)
+from repro.core.miner import mine_recurring_patterns, run_request
 from repro.core.options import ObservabilityOptions
+from repro.core.request import MiningRequest
 from repro.core.rp_growth import RPGrowth
 from repro.core.rp_tree import ITEM_ORDERS
 from repro.datasets import paper_running_example
 from repro.datasets.noise import apply_dropout, apply_jitter
 from repro.datasets.planted import generate_planted_workload
-from repro.parallel import ParallelMiner
 
 JOBS = 4
 
@@ -102,26 +108,53 @@ def test_every_worker_count_agrees(jobs):
 def test_rp_growth_options_survive_parallelism(item_order, max_length):
     """Every header item is mined off the shared initial tree, whatever
     its order, and ``max_length`` stops it where the serial sweep does
-    (``max_length=1``: singletons only, no conditional tree)."""
+    (``max_length=1``: singletons only, no conditional tree).  An
+    RP-growth variant reaches the pool by registering its own factory,
+    which the parent and every worker call."""
     _, database, params = DATASETS[1]
     options = {"item_order": item_order, "max_length": max_length}
     serial = RPGrowth(**params, **options)
     expected = serial.mine(database)
-    miner = ParallelMiner(**params, jobs=2, **options)
-    assert miner.mine(database) == expected
-    assert miner.last_stats.as_dict() == serial.last_stats.as_dict()
+    register_engine(
+        "test-rp-growth-options",
+        lambda per, min_ps, min_rec: RPGrowth(per, min_ps, min_rec, **options),
+        supports_jobs=True,
+    )
+    try:
+        found, stats, _ = run_request(
+            database,
+            MiningRequest(**params, engine="test-rp-growth-options", jobs=2),
+        )
+    finally:
+        unregister_engine("test-rp-growth-options")
+    assert found == expected
+    assert stats.as_dict() == serial.last_stats.as_dict()
     if max_length == 1:
         assert serial.last_stats.conditional_trees == 0
 
 
 @pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
-def test_spawn_workers_match_serial(engine):
+def test_spawn_workers_match_serial(engine, monkeypatch):
     """Under ``spawn`` the engine context (the initial RP-tree, the
-    columnar view) reaches the workers by pickling, not by fork."""
+    columnar view) reaches the workers by pickling, not by fork.
+    Spawn is the pool's start method where fork is not offered."""
     database = paper_running_example()
     params = {"per": 2, "min_ps": 3, "min_rec": 2, "engine": engine}
-    serial = ParallelMiner(**params, jobs=1)
-    expected = serial.mine(database)
-    miner = ParallelMiner(**params, jobs=2, mp_context="spawn")
-    assert miner.mine(database) == expected
-    assert miner.last_stats.as_dict() == serial.last_stats.as_dict()
+    expected, serial_stats, _ = run_request(
+        database, MiningRequest(**params, jobs=1)
+    )
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
+    methods = []
+    get_context = multiprocessing.get_context
+
+    def spy(method=None):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    found, stats, _ = run_request(database, MiningRequest(**params, jobs=2))
+    assert "spawn" in methods and "fork" not in methods
+    assert found == expected
+    assert stats.as_dict() == serial_stats.as_dict()

@@ -46,6 +46,12 @@ class TestBeatFiles:
         mtime, pid = beat
         assert pid == os.getpid()
 
+    def test_first_beat_is_the_start_marker(self, marker_dir):
+        """One chunk execution leaves two files: its heartbeat, which
+        also marks it started, and its done marker."""
+        guarded_chunk(lambda chunk, payload: payload, 3, "x", 1)
+        assert sorted(os.listdir(marker_dir)) == ["beat-3-1", "done-3-1"]
+
     def test_maybe_beat_inside_chunk_rate_limited(self, marker_dir):
         beats = []
 

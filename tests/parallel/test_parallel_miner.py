@@ -1,31 +1,41 @@
-"""ParallelMiner wrapper: validation, delegation, merged telemetry."""
+"""The ``jobs > 1`` path: validation, delegation, merged telemetry."""
 
 import pytest
 
 from repro.core.engines import engine_names
-from repro.core.miner import mine_recurring_patterns
+from repro.core.miner import mine_recurring_patterns, run_request
 from repro.core.options import ObservabilityOptions
+from repro.core.request import MiningRequest
 from repro.core.rp_growth import RPGrowth
 from repro.datasets import paper_running_example
 from repro.exceptions import ParameterError
+from repro.obs.counters import MiningStats
 from repro.obs.report import MiningTelemetry, validate_run_record
 from repro.obs.spans import SpanCollector, span
-from repro.parallel import ParallelMiner, default_jobs
 from repro.timeseries.database import TransactionalDatabase
 
 
+def _request(**kwargs) -> MiningRequest:
+    return MiningRequest(per=2, min_ps=3, min_rec=2, **kwargs)
+
+
 class TestValidation:
+    """The request validates once; the parallel path does not again."""
+
     def test_rejects_unknown_engine(self):
-        with pytest.raises(ParameterError, match="not parallel-capable"):
-            ParallelMiner(per=2, min_ps=3, min_rec=2, engine="naive")
+        with pytest.raises(ParameterError, match="does not support jobs"):
+            _request(engine="naive", jobs=2)
 
     @pytest.mark.parametrize("jobs", [0, -1, 2.0, True])
     def test_rejects_bad_jobs(self, jobs):
         with pytest.raises(ParameterError, match="jobs"):
-            ParallelMiner(per=2, min_ps=3, min_rec=2, jobs=jobs)
+            _request(jobs=jobs)
 
     def test_default_jobs_is_positive(self):
-        assert default_jobs() >= 1
+        """``jobs=None`` means one worker, the serial engine, on every
+        surface."""
+        assert _request().jobs == 1
+        assert _request(jobs=None).jobs == 1
 
     def test_facade_rejects_naive_with_jobs(self):
         with pytest.raises(ParameterError, match="naive"):
@@ -48,44 +58,28 @@ class TestDelegation:
         database = paper_running_example()
         serial = RPGrowth(per=2, min_ps=3, min_rec=2)
         expected = serial.mine(database)
-        miner = ParallelMiner(per=2, min_ps=3, min_rec=2, jobs=1)
-        assert miner.mine(database) == expected
-        assert miner.last_stats is not None
-        assert (
-            miner.last_stats.as_dict() == serial.last_stats.as_dict()
-        )
+        found, stats, faults = run_request(database, _request(jobs=1))
+        assert found == expected
+        assert stats.as_dict() == serial.last_stats.as_dict()
+        assert faults == []
 
     @pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
     def test_empty_database_short_circuits(self, engine):
-        miner = ParallelMiner(
-            per=2, min_ps=3, min_rec=1, engine=engine, jobs=2
+        found, stats, faults = run_request(
+            TransactionalDatabase([]), _request(engine=engine, jobs=2)
         )
-        assert len(miner.mine(TransactionalDatabase([]))) == 0
-
-    def test_explicit_mp_context_is_honoured(self):
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        miner = ParallelMiner(
-            per=2, min_ps=3, min_rec=2, jobs=2, mp_context=context
-        )
-        assert len(miner.mine(paper_running_example())) == 8
-
-    def test_start_method_name_is_accepted(self):
-        miner = ParallelMiner(
-            per=2, min_ps=3, min_rec=2, jobs=2, mp_context="fork"
-        )
-        assert len(miner.mine(paper_running_example())) == 8
+        assert len(found) == 0
+        assert stats.as_dict() == MiningStats().as_dict()
+        assert faults == []
 
 
 class TestMergedTelemetry:
     def _mine_with_spans(self, engine):
-        miner = ParallelMiner(
-            per=2, min_ps=3, min_rec=2, engine=engine, jobs=2
-        )
         collector = SpanCollector()
         with collector, span("run"):
-            found = miner.mine(paper_running_example())
+            found, _, _ = run_request(
+                paper_running_example(), _request(engine=engine, jobs=2)
+            )
         return found, collector.roots[0]
 
     @pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
@@ -98,8 +92,10 @@ class TestMergedTelemetry:
             child for child in phases["mine"].children
             if child.name.startswith("chunk[")
         ]
-        assert chunk_spans, "worker spans were not grafted back"
-        assert all(child.seconds >= 0 for child in chunk_spans)
+        assert chunk_spans, "no chunk spans under mine"
+        # One leaf per chunk, timed in its worker.
+        assert all(child.seconds > 0 for child in chunk_spans)
+        assert all(child.children == [] for child in chunk_spans)
 
     @pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
     def test_span_shape_at_jobs_two(self, engine):
@@ -116,6 +112,26 @@ class TestMergedTelemetry:
         assert names[0] == "partition"
         assert names[1:] == [f"chunk[{i}]" for i in range(len(names) - 1)]
         assert len(names) > 1
+
+    def test_untraced_workers_build_no_collector(self, monkeypatch):
+        """Regression: every worker opened a span collector and pickled
+        its span tree back, traced or not.  With collectors made to
+        fail, an untraced ``jobs=2`` mine must still finish with the
+        serial answer; forked workers inherit the patch."""
+        database = paper_running_example()
+        serial = mine_recurring_patterns(database, per=2, min_ps=3, min_rec=2)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a span collector was built")
+
+        monkeypatch.setattr(SpanCollector, "__init__", refuse)
+        found = mine_recurring_patterns(
+            database, per=2, min_ps=3, min_rec=2, jobs=2
+        )
+        assert list(found) == list(serial)
+        # Not rescued by the in-process fallback: no chunk failed.
+        _, _, faults = run_request(database, _request(jobs=2))
+        assert faults == []
 
     def test_trace_record_validates_with_jobs(self):
         _, telemetry = mine_recurring_patterns(

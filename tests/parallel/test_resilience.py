@@ -1,8 +1,8 @@
 """Fault-injection matrix for the parallel resilience layer.
 
 Every test injects a deterministic :class:`FaultPlan` into a
-``jobs>=2`` mine and asserts the two halves of the resilience
-contract:
+``jobs>=2`` ``run_request`` (or façade call) and asserts the two
+halves of the resilience contract:
 
 * **equivalence** — the recovered pattern set (and the merged mining
   counters) are identical to the ``jobs=1`` serial run, for every
@@ -20,17 +20,13 @@ paper's database (``test_multi_chunk_crash_still_matches_serial``).
 import pytest
 
 from repro.core.engines import engine_names
-from repro.core.miner import mine_recurring_patterns
+from repro.core.miner import mine_recurring_patterns, run_request
 from repro.core.options import ObservabilityOptions, ResilienceOptions
+from repro.core.request import MiningRequest
 from repro.datasets import paper_running_example
 from repro.exceptions import ChunkFailedError, ParameterError
 from repro.obs.report import validate_run_record
-from repro.parallel import (
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    ParallelMiner,
-)
+from repro.parallel import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.parallel.resilience import _retry_delay
 from repro.timeseries.database import TransactionalDatabase
 
@@ -49,8 +45,10 @@ def _single_chunk_db() -> TransactionalDatabase:
 
 
 def _mine(engine, database, **kwargs):
-    miner = ParallelMiner(engine=engine, **PARAMS, **kwargs)
-    return miner, miner.mine(database)
+    """``(patterns, stats, fault_events)`` of one ``run_request``."""
+    return run_request(
+        database, MiningRequest(engine=engine, **PARAMS, **kwargs)
+    )
 
 
 def _mining_counters(stats) -> dict:
@@ -77,49 +75,45 @@ def _assert_identical(serial, recovered):
 @pytest.mark.parametrize("kind", FAULT_KINDS)
 def test_fault_matrix_recovers_serial_result(engine, kind):
     database = _single_chunk_db()
-    serial_miner, serial = _mine(engine, database, jobs=1)
+    serial, serial_stats, _ = _mine(engine, database, jobs=1)
     plan = FaultPlan.single(
         kind, chunk=0, seconds=5.0 if kind == "hang" else 0.2
     )
     resilience = ResilienceOptions(
         timeout=1.0 if kind == "hang" else None, fault_plan=plan
     )
-    miner, recovered = _mine(
+    recovered, stats, faults = _mine(
         engine, database, jobs=2, resilience=resilience
     )
 
     _assert_identical(serial, recovered)
-    assert _mining_counters(miner.last_stats) == _mining_counters(
-        serial_miner.last_stats
-    )
-    assert miner.last_stats.chunks_fallback == 0
+    assert _mining_counters(stats) == _mining_counters(serial_stats)
+    assert stats.chunks_fallback == 0
     if kind == "slow":
         # A straggler is not a failure: no retries, empty fault log.
-        assert miner.last_stats.chunks_retried == 0
-        assert miner.last_faults == []
+        assert stats.chunks_retried == 0
+        assert faults == []
     else:
-        assert miner.last_stats.chunks_retried == 1
-        assert [event.action for event in miner.last_faults] == ["retry"]
-        assert miner.last_faults[0].chunk == 0
+        assert stats.chunks_retried == 1
+        assert [event.action for event in faults] == ["retry"]
+        assert faults[0].chunk == 0
 
 
 @pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
 def test_multi_chunk_crash_still_matches_serial(engine):
     """Crash on the paper database (several chunks, both engines)."""
     database = paper_running_example()
-    serial_miner, serial = _mine(engine, database, jobs=1)
-    miner, recovered = _mine(
+    serial, serial_stats, _ = _mine(engine, database, jobs=1)
+    recovered, stats, _ = _mine(
         engine, database, jobs=2,
         resilience=ResilienceOptions(
             fault_plan=FaultPlan.single("crash", chunk=0)
         ),
     )
     _assert_identical(serial, recovered)
-    assert _mining_counters(miner.last_stats) == _mining_counters(
-        serial_miner.last_stats
-    )
-    assert miner.last_stats.chunks_retried >= 1
-    assert miner.last_stats.chunks_fallback == 0
+    assert _mining_counters(stats) == _mining_counters(serial_stats)
+    assert stats.chunks_retried >= 1
+    assert stats.chunks_fallback == 0
 
 
 # ----------------------------------------------------------------------
@@ -130,8 +124,8 @@ def test_persistent_poison_falls_back_to_serial(engine):
     """execution=None poisons every execution: retries exhaust, the
     chunk is re-mined in-process, and the result is still exact."""
     database = _single_chunk_db()
-    serial_miner, serial = _mine(engine, database, jobs=1)
-    miner, recovered = _mine(
+    serial, serial_stats, _ = _mine(engine, database, jobs=1)
+    recovered, stats, faults = _mine(
         engine, database, jobs=2,
         resilience=ResilienceOptions(
             max_retries=1,
@@ -139,12 +133,10 @@ def test_persistent_poison_falls_back_to_serial(engine):
         ),
     )
     _assert_identical(serial, recovered)
-    assert _mining_counters(miner.last_stats) == _mining_counters(
-        serial_miner.last_stats
-    )
-    assert miner.last_stats.chunks_retried == 1
-    assert miner.last_stats.chunks_fallback == 1
-    assert [event.action for event in miner.last_faults] == [
+    assert _mining_counters(stats) == _mining_counters(serial_stats)
+    assert stats.chunks_retried == 1
+    assert stats.chunks_fallback == 1
+    assert [event.action for event in faults] == [
         "retry", "fallback-serial",
     ]
 
@@ -155,8 +147,8 @@ def test_persistent_crash_falls_back_to_serial(engine):
     pool — the in-process re-mine runs unguarded, so the injected
     crash cannot reach the parent."""
     database = _single_chunk_db()
-    _, serial = _mine(engine, database, jobs=1)
-    miner, recovered = _mine(
+    serial, serial_stats, _ = _mine(engine, database, jobs=1)
+    recovered, stats, _ = _mine(
         engine, database, jobs=2,
         resilience=ResilienceOptions(
             max_retries=1,
@@ -164,8 +156,9 @@ def test_persistent_crash_falls_back_to_serial(engine):
         ),
     )
     _assert_identical(serial, recovered)
-    assert miner.last_stats.chunks_retried == 1
-    assert miner.last_stats.chunks_fallback == 1
+    assert _mining_counters(stats) == _mining_counters(serial_stats)
+    assert stats.chunks_retried == 1
+    assert stats.chunks_fallback == 1
 
 
 # ----------------------------------------------------------------------
@@ -179,16 +172,17 @@ def test_raise_mode_names_prefixes_and_keeps_partial(engine):
     its roots' whole sub-problems, 1-patterns included — for RP-growth
     too, whose header items are roots like the vertical engines'."""
     database = _single_chunk_db()
-    miner = ParallelMiner(
-        engine=engine, **PARAMS, jobs=2,
-        resilience=ResilienceOptions(
-            max_retries=0,
-            fallback="raise",
-            fault_plan=FaultPlan.single("poison", chunk=0, execution=None),
-        ),
-    )
     with pytest.raises(ChunkFailedError) as excinfo:
-        miner.mine(database)
+        _mine(
+            engine, database, jobs=2,
+            resilience=ResilienceOptions(
+                max_retries=0,
+                fallback="raise",
+                fault_plan=FaultPlan.single(
+                    "poison", chunk=0, execution=None
+                ),
+            ),
+        )
     error = excinfo.value
     assert error.failed_prefixes == ("a",)
     assert "a" in str(error)
@@ -200,6 +194,9 @@ def test_raise_mode_names_prefixes_and_keeps_partial(engine):
 # Telemetry: spans and the faults trace section
 # ----------------------------------------------------------------------
 def test_retry_spans_graft_under_mine():
+    """A retried chunk shows up once, as its accepted ``chunk[i]``
+    leaf; the retry itself is reported in the ``faults`` section (see
+    below), not as a span."""
     database = _single_chunk_db()
     _, telemetry = mine_recurring_patterns(
         database, engine="rp-eclat-vec", **PARAMS, jobs=2,
@@ -208,16 +205,19 @@ def test_retry_spans_graft_under_mine():
         ),
         observability=ObservabilityOptions(collect_stats=True),
     )
+    assert telemetry.stats.chunks_retried == 1
     mine_spans = [
         item
         for root in telemetry.spans
         for _, item in root.walk()
         if item.name == "mine"
     ]
-    assert mine_spans, "no mine span collected"
-    child_names = [child.name for child in mine_spans[0].children]
-    assert "retry" in child_names
-    assert any(name.startswith("chunk[") for name in child_names)
+    assert len(mine_spans) == 1, "expected one mine span"
+    assert [child.name for child in mine_spans[0].children] == [
+        "partition", "chunk[0]",
+    ]
+    names = {item.name for root in telemetry.spans for _, item in root.walk()}
+    assert not names & {"retry", "fallback"}
 
 
 def test_run_record_carries_faults_section():
@@ -269,13 +269,6 @@ def test_fault_spec_rejects_unknown_kind():
 def test_fault_spec_rejects_bad_execution():
     with pytest.raises(ParameterError):
         FaultSpec(0, "crash", execution=0)
-
-
-def test_miner_rejects_bad_fallback():
-    with pytest.raises(ParameterError):
-        ParallelMiner(
-            **PARAMS, resilience=ResilienceOptions(fallback="shrug")
-        )
 
 
 def test_fault_plan_lookup():

@@ -555,6 +555,26 @@ def test_served_records_describe_the_serve(tmp_path, example_ref, capsys):
     assert tree.count("first_scan") == 1
 
 
+def test_record_seconds_cover_the_whole_job(tmp_path, example_ref):
+    """Regression: a hit's record stopped at the cache answer and a
+    miss's covered only the mine.  Every record's ``seconds`` is now
+    its job's, the TSV write included."""
+    trace_path = tmp_path / "service.jsonl"
+    job_seconds = []
+    with running_service(trace=str(trace_path)) as service:
+        client = ServiceClient(port=service.port)
+        loose = MiningRequest(per=2, min_ps=3, min_rec=1, source=example_ref)
+        for request in (loose, loose, loose.with_thresholds(min_rec=2)):
+            status = client.wait(client.submit(request), timeout=60)
+            assert status["status"] == "done"
+            job_seconds.append(status["seconds"])
+    records = list(iter_trace(str(trace_path)))
+    assert [record["cache"] for record in records] == [
+        "miss", "hit", "derived",
+    ]
+    assert [record["seconds"] for record in records] == job_seconds
+
+
 # ----------------------------------------------------------------------
 # The thin CLI client against a live daemon
 # ----------------------------------------------------------------------
