@@ -182,6 +182,8 @@ def mine_recurring_patterns(
 def execute_request(
     request: MiningRequest,
     data: Optional[Source] = None,
+    *,
+    dataset_digest: Optional[str] = None,
 ) -> Union[
     RecurringPatternSet, Tuple[RecurringPatternSet, MiningTelemetry]
 ]:
@@ -199,11 +201,13 @@ def execute_request(
     ``(patterns, telemetry)`` when ``observability.collect_stats`` is
     true.  When telemetry is collected, the ``repro-run/v1`` record
     additionally carries the database's content ``dataset_digest`` —
-    the same digest the service result cache keys on.  Monitor, spans,
-    telemetry and trace come from :func:`repro.obs.profile_call`.  A
-    fractional ``min_ps`` that resolves to one transaction warns
-    (``RuntimeWarning``) before mining: every itemset that occurs
-    would be recurring.
+    the same digest the service result cache keys on; a caller that
+    already holds it passes ``dataset_digest`` (the daemon's memo maps
+    a file's bytes to it), and the database is not hashed again.
+    Monitor, spans, telemetry and trace come from
+    :func:`repro.obs.profile_call`.  A fractional ``min_ps`` that
+    resolves to one transaction warns (``RuntimeWarning``) before
+    mining: every itemset that occurs would be recurring.
     """
     if data is None:
         if request.source is None:
@@ -233,7 +237,7 @@ def execute_request(
             )
             report = None
         return found, stats, lambda: _record_extra(
-            database, stats, faults, report
+            dataset_digest or database.digest(), stats, faults, report
         )
 
     obs = request.observability
@@ -311,9 +315,9 @@ def mine_serial(label: str, mine: Callable[[], T], monitor=None) -> T:
     return result
 
 
-def _record_extra(database, stats, faults, report) -> dict:
+def _record_extra(digest, stats, faults, report) -> dict:
     """A run record's extra fields: digest, shard report, fault log."""
-    extra: dict = {"dataset_digest": database.digest()}
+    extra: dict = {"dataset_digest": digest}
     if report is not None:
         extra["shards"] = report.as_dict()
     if faults:

@@ -13,17 +13,21 @@ in one batched pass —
    :class:`~repro.timeseries.columnar.ColumnarTDB` timestamp column,
    concatenated per level in one CSR block.  A node's extension
    candidates are its later siblings (``TS(X∪p∪q) = TS(X∪p) ∩
-   TS(X∪q)``), so each node's extension ts-lists form one *contiguous
-   suffix* of its family's block — per node only a three-operation
-   dense-bitmap membership gather remains (``searchsorted`` when the
-   node's list is more than four times the suffix);
+   TS(X∪q)``); turned around, the pairs a node closes with its
+   *earlier* siblings read one *contiguous* block of its family's ids.
+   The one per-node loop gathers that block's membership flags (a
+   dense bitmap; ``searchsorted`` when the node's own list is more
+   than four times the block) and keeps only the ids that intersect
+   plus one count per pair — about six small array calls per node,
+   never a copy of the whole block;
 2. one segmented ``np.diff`` + run-length-encoding sweep
    (:func:`~repro.core.accel.segmented_interval_stats`) scores the
    ``Erec`` bound of *every* intersection of the level and extracts its
    interesting runs, so children reach the next level with their
    intervals already computed — no per-candidate python loop anywhere;
-3. surviving intersections are compacted level-wide into the next
-   level's CSR block.
+3. surviving intersections are regrouped level-wide into the next
+   level's CSR block, so every array a level holds is sized by its
+   intersections, not by the blocks gathered to find them.
 
 Pruning is the paper's ``Erec`` bound, which is anti-monotone: an
 extension that fails at a node fails in the whole subtree, so dropping
@@ -319,7 +323,7 @@ class RPEclatVec:
                 and len(level.itemsets[0]) >= self.max_length
             ):
                 return
-            # ---- pair generation ----
+            # ---- pair generation and intersection ----
             # The pair/node/counter sets are order-independent (all
             # pairs of surviving siblings are always formed), so pick
             # the cheaper gather orientation: mask each node and gather
@@ -327,8 +331,14 @@ class RPEclatVec:
             # the gathered prefix blocks are the short ones.  A _grow
             # seed instead masks its single left node (the prefix)
             # once and gathers the whole suffix in one operation.
+            # Either way only the intersection ids and one count per
+            # pair are kept, so every array a level holds is sized by
+            # its intersections, never by the blocks gathered to find
+            # them.  ``np.add.reduceat`` counts each sibling row's ids
+            # exactly because no row is empty (a survivor's support is
+            # at least ``min_ps`` >= 1); it would return ``flag[i]``,
+            # not 0, for an empty segment.
             ptr_l = ptr.tolist()
-            sizes = np.diff(ptr)
             if only_first:
                 only_first = False
                 total_pairs = n - 1
@@ -336,11 +346,10 @@ class RPEclatVec:
                     return
                 pair_left = np.zeros(total_pairs, dtype=np.int64)
                 pair_right = np.arange(1, n)
-                flags = self._member_flags(
-                    level.block[: ptr_l[1]], level.block[ptr_l[1]:]
-                )
-                ext_concat = level.block[ptr_l[1]:]
-                block_sizes = sizes[pair_right]
+                suffix = level.block[ptr_l[1]:]
+                flags = self._member_flags(level.block[: ptr_l[1]], suffix)
+                inter = suffix.compress(flags)
+                counts = np.add.reduceat(flags, ptr[1:-1] - ptr_l[1])
             else:
                 fam_sizes = np.diff(level.fam_ptr)
                 fam_start = np.repeat(level.fam_ptr[:-1], fam_sizes)
@@ -357,8 +366,12 @@ class RPEclatVec:
                 )
                 fam_start_l = fam_start.tolist()
                 pc_l = pc.tolist()
-                flag_parts = []
-                ext_parts = []
+                # Where each node's row starts inside its family's
+                # block: the reduceat offsets of a node's earlier
+                # siblings within the block it gathers.
+                row_offset = ptr[:-1] - ptr[fam_start]
+                inter_parts = []
+                count_parts = []
                 block = level.block
                 mask = self._mask
                 # _member_flags, inlined: this loop runs once per node
@@ -366,37 +379,27 @@ class RPEclatVec:
                 for k in range(n):
                     if not pc_l[k]:
                         continue
-                    lo, mid, hi2 = ptr_l[fam_start_l[k]], ptr_l[k], ptr_l[k + 1]
+                    first = fam_start_l[k]
+                    lo, mid, hi2 = ptr_l[first], ptr_l[k], ptr_l[k + 1]
                     earlier = block[lo:mid]
                     seg = block[mid:hi2]
                     if hi2 - mid > 4 * (mid - lo):
                         pos = np.searchsorted(seg, earlier)
                         np.minimum(pos, hi2 - mid - 1, out=pos)
-                        flag_parts.append(seg[pos] == earlier)
+                        flag = seg[pos] == earlier
                     else:
                         mask[seg] = True
-                        flag_parts.append(mask[earlier])
+                        flag = mask.take(earlier)
                         mask[seg] = False
-                    ext_parts.append(earlier)
-                flags = (
-                    flag_parts[0]
-                    if len(flag_parts) == 1
-                    else np.concatenate(flag_parts)
-                )
-                ext_concat = (
-                    ext_parts[0]
-                    if len(ext_parts) == 1
-                    else np.concatenate(ext_parts)
-                )
-                block_sizes = sizes[pair_left]
-            # ---- batched intersection of every pair ----
-            kept = np.flatnonzero(flags)
-            inter = ext_concat[kept]
-            hi = np.searchsorted(kept, np.cumsum(block_sizes))
-            counts = np.diff(hi, prepend=0)
+                    inter_parts.append(earlier.compress(flag))
+                    count_parts.append(
+                        np.add.reduceat(flag, row_offset[first:k])
+                    )
+                inter = np.concatenate(inter_parts)
+                counts = np.concatenate(count_parts)
             stats.erec_evaluations += total_pairs
             stats.tid_list_entries += int(inter.size)
-            inter_ptr = np.concatenate((_ZERO, hi))
+            inter_ptr = np.concatenate((_ZERO, np.cumsum(counts)))
             # ---- batched Erec bound + interval runs ----
             ts_inter = ts_col[inter]
             erec, _, run_pair, run_first, run_last = _segmented_interval_stats(
@@ -550,6 +553,6 @@ class RPEclatVec:
             return node_idx[pos] == suffix
         mask = self._mask
         mask[node_idx] = True
-        flags = mask[suffix]
+        flags = mask.take(suffix)
         mask[node_idx] = False
         return flags

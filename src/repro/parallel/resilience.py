@@ -191,7 +191,9 @@ def supervise(
 
     ``chunk_fn(chunk_id, payloads[chunk_id])`` is the engine's chunk
     function, ``initializer(*initargs)`` its per-worker setup.  The
-    supervisor wraps both — workers run
+    in-process fallback never runs the initializer: it calls
+    ``chunk_fn(chunk_id, payload, initargs)``, so the parent's globals
+    never hold worker state.  The supervisor wraps both — workers run
     :func:`repro.parallel.faults.guarded_chunk` under a chained
     initializer that installs ``resilience.fault_plan`` (``None`` in
     production) and the failure-attribution markers.  ``workers`` is
@@ -241,7 +243,6 @@ def supervise(
     # the deterministic largest-first chunk plan.
     queue: List[Tuple[int, float]] = [(index, 0.0) for index in range(total)]
     barren_pool_deaths = 0
-    serial_ready = False
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else "spawn"
@@ -259,11 +260,7 @@ def supervise(
 
     def run_serial_fallback(chunk: int) -> None:
         """Re-mine one chunk in-process with the serial engine code."""
-        nonlocal serial_ready
-        if not serial_ready:
-            initializer(*initargs)
-            serial_ready = True
-        results[chunk] = chunk_fn(chunk, payloads[chunk])
+        results[chunk] = chunk_fn(chunk, payloads[chunk], initargs)
         if monitor is not None:
             # A serial fallback still counts as progress — requesting
             # live output must never go silent just because the pool

@@ -1,6 +1,7 @@
 """Worker-process entry points for the parallel mining layer.
 
-Everything in this module runs inside pool worker processes.  The
+Everything in this module runs inside pool worker processes, and
+:func:`mine_chunk` also in the parent's in-process fallback.  The
 design is shared-nothing: a worker receives the engine's name, the
 resolved thresholds, the candidate list and the engine's shared
 context once through the pool initializer (kept in a module global,
@@ -60,7 +61,7 @@ def init_chunk_worker(
 
 
 def mine_chunk(
-    chunk_id: int, indices: Sequence[int]
+    chunk_id: int, indices: Sequence[int], state: Optional[tuple] = None
 ) -> Tuple[List[RecurringPattern], MiningStats, float]:
     """Mine the sub-problems rooted at ``indices``.
 
@@ -70,9 +71,17 @@ def mine_chunk(
     tree for RP-growth — so the union over all chunks is exactly the
     serial search space.  Each call builds a fresh engine, so no
     scratch state leaks from a failed chunk into its retry.
+
+    ``state`` is :func:`init_chunk_worker`'s argument tuple.  A pool
+    worker leaves it ``None`` and reads the copy its initializer
+    installed.  The parent's in-process fallback passes its own and
+    installs nothing: a global there would keep the RP-tree or column
+    alive in a daemon, shared by its threads.
     """
-    assert _STATE is not None, "worker initializer did not run"
-    engine, params, candidates, context = _STATE
+    if state is None:
+        assert _STATE is not None, "worker initializer did not run"
+        state = _STATE
+    engine, params, candidates, context = state
     started = time.perf_counter()
     stats = MiningStats()
     found: List[RecurringPattern] = []

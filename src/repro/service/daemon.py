@@ -282,8 +282,10 @@ class MiningService:
         cache's memo maps those bytes' SHA-256 to the canonical digest,
         so a hit or a derivation never parses.  Bytes the memo has not
         seen, and misses, are parsed: the very bytes that were hashed.
-        Every run record's ``seconds`` is the job's own: read, hash,
-        parse, lookup or mine, and the TSV write.
+        A miss hands the digest it already holds to its run record, so
+        the parsed database is hashed at most once, and not at all when
+        the memo knew the bytes.  Every run record's ``seconds`` is the
+        job's own: read, hash, parse, lookup or mine, and the TSV write.
         """
         started = time.perf_counter()
         try:
@@ -327,7 +329,7 @@ class MiningService:
                     ),
                 )
                 patterns, telemetry = execute_request(
-                    exec_request, database
+                    exec_request, database, dataset_digest=digest
                 )
                 record = telemetry.as_run_record()
                 record["cache"] = "miss"

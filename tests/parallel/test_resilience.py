@@ -26,7 +26,7 @@ from repro.core.request import MiningRequest
 from repro.datasets import paper_running_example
 from repro.exceptions import ChunkFailedError, ParameterError
 from repro.obs.report import validate_run_record
-from repro.parallel import FAULT_KINDS, FaultPlan, FaultSpec
+from repro.parallel import FAULT_KINDS, FaultPlan, FaultSpec, worker
 from repro.parallel.resilience import _retry_delay
 from repro.timeseries.database import TransactionalDatabase
 
@@ -159,6 +159,29 @@ def test_persistent_crash_falls_back_to_serial(engine):
     assert _mining_counters(stats) == _mining_counters(serial_stats)
     assert stats.chunks_retried == 1
     assert stats.chunks_fallback == 1
+
+
+@pytest.mark.parametrize("engine", engine_names(supports_jobs=True))
+def test_serial_fallback_leaves_no_worker_state_in_the_parent(
+    engine, monkeypatch
+):
+    """The in-process fallback is handed the workers' state; it must
+    not install it in the parent's module global, where a daemon would
+    keep the RP-tree or column alive and share it between threads."""
+    monkeypatch.setattr(worker, "_STATE", None)
+    database = paper_running_example()
+    serial, serial_stats, _ = _mine(engine, database, jobs=1)
+    recovered, stats, faults = _mine(
+        engine, database, jobs=2,
+        resilience=ResilienceOptions(
+            max_retries=0,
+            fault_plan=FaultPlan.single("poison", chunk=0, execution=None),
+        ),
+    )
+    _assert_identical(serial, recovered)
+    assert _mining_counters(stats) == _mining_counters(serial_stats)
+    assert [event.action for event in faults] == ["fallback-serial"]
+    assert worker._STATE is None
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.core.request import DatasetRef, MiningRequest
 from repro.obs.report import iter_trace, validate_run_record
 from repro.patterns_io import load_patterns, save_patterns
 from repro.service import MiningService, ServiceClient, ServiceError
+from repro.timeseries.database import TransactionalDatabase
 from repro.timeseries.io import load_transactional_database
 
 
@@ -462,6 +463,35 @@ def test_digest_memo_is_bounded_by_the_cache_size(tmp_path, monkeypatch):
         ]
     assert outcomes == ["miss", "hit", "hit"]
     assert parsed == [str(first), str(second), str(first)]
+
+
+def test_a_miss_on_known_bytes_does_not_hash_the_database(
+    tmp_path, monkeypatch
+):
+    """The memo already maps these bytes to their digest, so a second
+    miss on them (another ``per``) hands that digest to its run record
+    instead of hashing the freshly parsed database again."""
+    path = tmp_path / "example.tsv"
+    path.write_bytes(EXAMPLE_TSV)
+    trace_path = tmp_path / "service.jsonl"
+    hashed = []
+    original = TransactionalDatabase.digest
+
+    def digest(self):
+        hashed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(TransactionalDatabase, "digest", digest)
+    with running_service(trace=str(trace_path)) as service:
+        client = ServiceClient(port=service.port)
+        assert _answer(client, _file_request(path, per=2))["cache"] == "miss"
+        assert len(hashed) == 1
+        assert _answer(client, _file_request(path, per=3))["cache"] == "miss"
+        assert len(hashed) == 1
+    fresh = original(load_transactional_database(str(path)))
+    records = list(iter_trace(str(trace_path)))
+    assert [record["params"]["per"] for record in records] == [2, 3]
+    assert [record["dataset_digest"] for record in records] == [fresh, fresh]
 
 
 def test_concurrent_file_requests_under_contention(tmp_path):
