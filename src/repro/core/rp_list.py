@@ -115,6 +115,11 @@ def build_rp_list(
 ) -> RPList:
     """Run Algorithm 1: one scan of ``database`` producing the RP-list.
 
+    The scan reads the database's id rows
+    (:meth:`~repro.timeseries.database.TransactionalDatabase.id_rows`),
+    not its row objects, and keys the entries by item label in
+    sorted-by-repr order.
+
     Examples
     --------
     With the paper's running example and ``per=2, minPS=3, minRec=2``,
@@ -129,14 +134,11 @@ def build_rp_list(
     >>> rp_list.candidates
     ('a', 'b', 'c', 'd', 'e', 'f')
     """
-    entries: Dict[Item, RPListEntry] = {}
-    for ts, itemset in database:
-        for item in itemset:
-            entry = entries.get(item)
-            if entry is None:
-                entry = RPListEntry(item)
-                entries[item] = entry
-            entry.observe(ts, params.per, params.min_ps)
-    for entry in entries.values():
+    # The database's id rows index one entry per distinct item.
+    by_id = [RPListEntry(item) for item in database.item_labels]
+    for ts, ids in database.id_rows():
+        for item_id in ids:
+            by_id[item_id].observe(ts, params.per, params.min_ps)
+    for entry in by_id:
         entry.finalize(params.min_ps)
-    return RPList(entries, params.min_rec)
+    return RPList({entry.item: entry for entry in by_id}, params.min_rec)

@@ -15,6 +15,7 @@ Lemma 3 and conditional construction from accumulated paths.
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.model import ResolvedParameters
@@ -292,7 +293,8 @@ def build_rp_tree(
 
     Returns the tree together with the RP-list used to order it (the
     caller usually needs both).  Transactions whose candidate-item
-    projection is empty contribute nothing, mirroring Property 3.
+    projection is empty contribute nothing, mirroring Property 3.  The
+    scan reads the database's id rows, not its row objects.
 
     ``item_order`` selects the global item order of the prefix tree.
     The paper uses support-descending "to facilitate a high degree of
@@ -313,11 +315,13 @@ def build_rp_tree(
         candidates.sort(key=repr)
     order = {item: rank for rank, item in enumerate(candidates)}
     tree = RPTree(order)
-    for ts, itemset in database:
-        sorted_items = sorted(
-            (item for item in itemset if item in order),
-            key=order.__getitem__,
-        )
-        if sorted_items:
-            tree.insert(sorted_items, (ts,))
+    # Item id -> tree rank; a non-candidate ranks after every candidate,
+    # so a row's sorted ranks end with the ones its projection drops.
+    n_candidates = len(candidates)
+    rank = [order.get(item, n_candidates) for item in database.item_labels]
+    for ts, ids in database.id_rows():
+        ranks = sorted(map(rank.__getitem__, ids))
+        kept = bisect.bisect_left(ranks, n_candidates)
+        if kept:
+            tree.insert([candidates[r] for r in ranks[:kept]], (ts,))
     return tree, rp_list

@@ -22,10 +22,14 @@ theorem is property-tested against the naive oracle in
 ``tests/sweep/test_derivation_property.py``.
 
 **Scan sharing (reuse layer 1).**  The EventSequence→TDB transform
-and the vertical item→ts-list map
-(:meth:`~repro.timeseries.database.TransactionalDatabase.item_timestamps`,
-threshold-independent and cached on the immutable database) are
-computed once and shared by every mined cell.
+runs once and its database is shared by every mined cell.  The views a
+cell's engine reads — the columnar view
+(:meth:`~repro.timeseries.database.TransactionalDatabase.columnar`) of
+``rp-eclat-vec``, the item→ts-list map
+(:meth:`~repro.timeseries.database.TransactionalDatabase.item_timestamps`)
+of a ``jobs > 1`` rp-growth scan — are threshold-independent and
+cached on the immutable database, so the first cell that reads one
+builds it and no other cell pays for it again.
 
 **Cell scheduling (reuse layer 3).**  Cells that must actually be
 mined run through the same engine dispatch as the façade — including
@@ -238,14 +242,10 @@ def run_sweep(
     result = SweepResult(plan=plan, dataset=dataset)
     started = time.perf_counter()
 
-    # Reuse layer 1: one transform, one vertical scan, shared by every
-    # cell.  item_timestamps() is threshold-independent and cached on
-    # the immutable database, so warming it here means no mined cell
-    # pays for it again.
+    # Reuse layer 1: one transform, shared by every cell.
     transform_collector = SpanCollector(track_memory=obs.track_memory)
     with transform_collector, span("transform"):
         database = _as_database(data)
-        database.item_timestamps()
     result.transform_seconds = transform_collector.roots[0].seconds
     _fold_memory(result, transform_collector)
 

@@ -1,10 +1,11 @@
 """Columnar (vertical, array-backed) view of a transactional database.
 
 The pure-python :class:`~repro.timeseries.database.TransactionalDatabase`
-stores transactions as tuples of frozensets and per-item point sequences
-as tuples of numbers — ideal for correctness, hostile to NumPy.  This
-module materialises the same information once as flat arrays, the
-backbone of the ``rp-eclat-vec`` engine (:mod:`repro.core.rp_eclat_vec`):
+stores its transactions row by row, as item ids in stdlib arrays — the
+layout of a scan in time order, not of a per-item NumPy kernel.  This
+module materialises the same information once, item by item, as NumPy
+arrays, the backbone of the ``rp-eclat-vec`` engine
+(:mod:`repro.core.rp_eclat_vec`):
 
 * ``timestamps`` — one sorted ``int64`` (or ``float64``) array with the
   timestamp of every transaction; position in this array is the
@@ -18,23 +19,26 @@ intersection is array intersection and interval extraction is one
 ``np.diff`` sweep over a gather (see ``docs/performance.md``,
 "Columnar kernel").
 
-The view is built from the cached
-:meth:`~repro.timeseries.database.TransactionalDatabase.item_timestamps`
-scan and is itself cached on the database
+The view is transposed from the database's id rows
+(:meth:`~repro.timeseries.database.TransactionalDatabase.id_rows`): one
+stable sort of the flat item-id column groups each item's transaction
+ids, already in time order.  It is cached on the database
 (:meth:`~repro.timeseries.database.TransactionalDatabase.columnar`), so
 repeated mines and sweep columns share one materialisation.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.timeseries.events import Item
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.timeseries.database import TransactionalDatabase
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from array import array
+
+    from repro._validation import Number
 
 __all__ = ["ColumnarTDB"]
 
@@ -61,8 +65,18 @@ class ColumnarTDB(NamedTuple):
     indices: np.ndarray
 
     @classmethod
-    def from_database(cls, database: "TransactionalDatabase") -> "ColumnarTDB":
-        """Materialise the columnar view of ``database``.
+    def from_id_rows(
+        cls,
+        timestamps: Sequence[Number],
+        items: Tuple[Item, ...],
+        ids: "array[int]",
+        offsets: "array[int]",
+    ) -> "ColumnarTDB":
+        """Transpose a database's id rows into the item CSR.
+
+        ``ids`` is the flat ``array('i')`` of every transaction's item
+        ids (positions in ``items``), ``offsets`` its ``array('q')`` of
+        row bounds; both are read in place, without a copy.
 
         Raises
         ------
@@ -73,22 +87,17 @@ class ColumnarTDB(NamedTuple):
         """
         from repro.core.accel import as_timestamp_array
 
-        timestamps = as_timestamp_array(
-            [transaction.ts for transaction in database.transactions]
-        )
-        index = database.item_timestamps()
-        items = tuple(sorted(index, key=repr))
+        timestamps = as_timestamp_array(timestamps)
         index_dtype = np.int32 if timestamps.size < 2 ** 31 else np.int64
+        flat = np.frombuffer(ids, dtype=np.intc)
+        row_of = np.repeat(
+            np.arange(timestamps.size, dtype=index_dtype),
+            np.diff(np.frombuffer(offsets, dtype=np.int64)),
+        )
+        # A stable sort by item id keeps each item's rows in time order.
+        indices = row_of[np.argsort(flat, kind="stable")]
         indptr = np.zeros(len(items) + 1, dtype=np.int64)
-        rows = []
-        for position, item in enumerate(items):
-            row = np.searchsorted(timestamps, np.asarray(index[item]))
-            rows.append(row.astype(index_dtype, copy=False))
-            indptr[position + 1] = indptr[position] + row.size
-        if rows:
-            indices = np.concatenate(rows)
-        else:
-            indices = np.zeros(0, dtype=index_dtype)
+        np.cumsum(np.bincount(flat, minlength=len(items)), out=indptr[1:])
         return cls(timestamps, items, indptr, indices)
 
     @property

@@ -15,7 +15,8 @@ The transaction format is read as a stream:
 * :func:`stream_transaction_rows` lazily yields parsed ``(ts, items)``
   rows without materializing the file;
 * :func:`load_transactional_database` feeds that stream straight into
-  the database constructor, so no intermediate row list is built;
+  the database constructor, which writes its item-id columns as the
+  rows arrive, so no row list and no row object outlives its line;
 * :func:`iter_database_chunks` cuts a *time-sorted* file into bounded
   :class:`~repro.timeseries.database.TransactionalDatabase` chunks,
   merging rows that share a timestamp and never splitting one across
@@ -24,6 +25,7 @@ The transaction format is read as a stream:
 
 from __future__ import annotations
 
+import math
 import os
 from typing import IO, Iterator, List, Tuple, Union
 
@@ -67,7 +69,7 @@ def save_event_sequence(events: EventSequence, target: PathOrFile) -> None:
     be worse).
     """
     tab_or_newline = "\t\n"
-    with _open_for_write(target) as handle:
+    with _Opened(target, "w") as handle:
         for event in events:
             item_text = _checked_item(event.item, separators=tab_or_newline)
             handle.write(f"{_format_ts(event.ts)}\t{item_text}\n")
@@ -94,8 +96,8 @@ def stream_transaction_rows(
     *when the iterator reaches it*, carrying its line number in the
     file (skipped lines counted).
     """
-    for line_no, line in _lines(source):
-        yield _parse_transaction_line(line_no, line)
+    for _, ts, items in _transaction_lines(source):
+        yield ts, items
 
 
 def iter_database_chunks(
@@ -131,8 +133,7 @@ def iter_database_chunks(
     rows: List[Tuple[float, List[str]]] = []
     distinct = 0
     previous_ts: float = float("-inf")
-    for line_no, line in _lines(source):
-        ts, items = _parse_transaction_line(line_no, line)
+    for line_no, ts, items in _transaction_lines(source):
         if ts < previous_ts:
             raise DataFormatError(
                 f"line {line_no}: timestamps must be non-decreasing for "
@@ -157,15 +158,14 @@ def save_transactional_database(
 
     Items whose string form contains whitespace cannot be represented
     (the format separates items with spaces) and raise
-    :class:`~repro.exceptions.DataFormatError`.
+    :class:`~repro.exceptions.DataFormatError` before any line is
+    written.  Lines are written from the database's id rows, so no row
+    object is built.
     """
-    with _open_for_write(target) as handle:
-        for ts, itemset in database:
-            items = " ".join(
-                _checked_item(item, separators=" \t\n")
-                for item in sorted(itemset, key=repr)
-            )
-            handle.write(f"{_format_ts(ts)}\t{items}\n")
+    text = _item_texts(database).__getitem__
+    with _Opened(target, "w") as handle:
+        for ts, ids in database.id_rows():
+            handle.write(f"{_format_ts(ts)}\t{' '.join(map(text, ids))}\n")
 
 
 def load_spmf_transactions(
@@ -211,13 +211,10 @@ def save_spmf_transactions(
     and precisely the limitation of symbolic-sequence mining the paper
     discusses.
     """
-    with _open_for_write(target) as handle:
-        for _, itemset in database:
-            items = " ".join(
-                _checked_item(item, separators=" \t\n")
-                for item in sorted(itemset, key=repr)
-            )
-            handle.write(items + "\n")
+    text = _item_texts(database).__getitem__
+    with _Opened(target, "w") as handle:
+        for _, ids in database.id_rows():
+            handle.write(" ".join(map(text, ids)) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -225,19 +222,46 @@ def save_spmf_transactions(
 # ----------------------------------------------------------------------
 def _lines(source: PathOrFile) -> Iterator[Tuple[int, str]]:
     """Yield (line_number, stripped_line), skipping blanks and comments."""
-    if hasattr(source, "read"):
-        yield from _iter_handle(source)  # type: ignore[arg-type]
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from _iter_handle(handle)
+    with _Opened(source, "r") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if not _skipped(line):
+                yield line_no, line
 
 
-def _iter_handle(handle: IO[str]) -> Iterator[Tuple[int, str]]:
-    for line_no, raw in enumerate(handle, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield line_no, line
+def _skipped(line: str) -> bool:
+    """Whether ``line`` is blank or a ``#`` comment."""
+    return not line.strip() or line.lstrip().startswith("#")
+
+
+def _transaction_lines(
+    source: PathOrFile,
+) -> Iterator[Tuple[int, float, List[str]]]:
+    """Yield ``(line_number, ts, items)`` per transaction line.
+
+    The one parser of the transaction format.  A line of an int
+    timestamp, one tab and at least one item — every line the writer
+    emits — is parsed with two splits and an ``int``; any other line
+    is skipped if blank or a comment (:func:`_skipped`), else parsed
+    by :func:`_parse_transaction_line`, which raises with its line
+    number on a malformed one.
+    """
+    with _Opened(source, "r") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            parts = raw.split("\t")
+            if len(parts) == 2:
+                items = parts[1].split()
+                if items:
+                    try:
+                        ts = int(parts[0])
+                    except ValueError:
+                        pass
+                    else:
+                        yield line_no, ts, items
+                        continue
+            line = raw.rstrip("\n")
+            if not _skipped(line):
+                yield (line_no,) + _parse_transaction_line(line_no, line)
 
 
 def _parse_transaction_line(
@@ -252,28 +276,29 @@ def _parse_transaction_line(
     return _parse_ts(parts[0], line_no), parts[1].split()
 
 
-class _WriteContext:
-    """Context manager that opens paths but leaves open handles alone."""
+class _Opened:
+    """Context manager that opens paths but leaves open handles alone.
 
-    def __init__(self, target: PathOrFile):
-        self._target = target
-        self._owned = not hasattr(target, "write")
+    ``mode`` is ``"r"`` or ``"w"``; an object with a ``read`` (or
+    ``write``) method is taken as an open handle.
+    """
+
+    def __init__(self, source: PathOrFile, mode: str):
+        self._source = source
+        self._mode = mode
+        self._owned = not hasattr(source, "read" if mode == "r" else "write")
         self._handle: IO[str] = None  # type: ignore[assignment]
 
     def __enter__(self) -> IO[str]:
         if self._owned:
-            self._handle = open(self._target, "w", encoding="utf-8")
+            self._handle = open(self._source, self._mode, encoding="utf-8")
         else:
-            self._handle = self._target  # type: ignore[assignment]
+            self._handle = self._source  # type: ignore[assignment]
         return self._handle
 
     def __exit__(self, *exc_info: object) -> None:
         if self._owned:
             self._handle.close()
-
-
-def _open_for_write(target: PathOrFile) -> _WriteContext:
-    return _WriteContext(target)
 
 
 def _parse_ts(text: str, line_no: int) -> float:
@@ -283,11 +308,26 @@ def _parse_ts(text: str, line_no: int) -> float:
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise DataFormatError(
             f"line {line_no}: unparsable timestamp {text!r}"
         ) from exc
+    # float() also reads 'nan', 'inf' and out-of-range values like
+    # '1e400'; the database would reject them without the line number.
+    if not math.isfinite(value):
+        raise DataFormatError(
+            f"line {line_no}: timestamp must be finite, got {text!r}"
+        )
+    return value
+
+
+def _item_texts(database: TransactionalDatabase) -> List[str]:
+    """Each item's text by item id, checked once per distinct item."""
+    return [
+        _checked_item(item, separators=" \t\n")
+        for item in database.item_labels
+    ]
 
 
 def _checked_item(item: object, separators: str) -> str:

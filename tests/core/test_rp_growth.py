@@ -6,6 +6,10 @@ from repro.core.rp_growth import RPGrowth
 from repro.datasets import paper_table2_patterns
 from repro.exceptions import ParameterError
 from repro.timeseries.database import TransactionalDatabase
+from repro.timeseries.io import (
+    load_transactional_database,
+    save_transactional_database,
+)
 
 
 def as_dict(patterns):
@@ -139,6 +143,41 @@ class TestStats:
         assert miner.last_stats is not first
         assert miner.last_stats.patterns_found == first.patterns_found
 
+
+
+class TestColumnarScans:
+    def test_a_serial_mine_of_a_loaded_file_builds_no_row_view(
+        self, running_example, tmp_path, monkeypatch
+    ):
+        # Algorithm 1 and the RP-tree build read the database's id rows:
+        # the loaded file is never turned into row objects, nor into the
+        # item -> timestamps index, and the answer is still Table 2.
+        path = tmp_path / "example.tsv"
+        save_transactional_database(running_example, path)
+        database = load_transactional_database(path)
+        built = []
+        rows = TransactionalDatabase.transactions
+        index = TransactionalDatabase.item_timestamps
+
+        def transactions(self):
+            built.append("transactions")
+            return rows.fget(self)
+
+        def item_timestamps(self):
+            built.append("item_timestamps")
+            return index(self)
+
+        monkeypatch.setattr(
+            TransactionalDatabase, "transactions", property(transactions)
+        )
+        monkeypatch.setattr(
+            TransactionalDatabase, "item_timestamps", item_timestamps
+        )
+        miner = RPGrowth(per=2, min_ps=3, min_rec=2)
+        found = miner.mine(database)
+        assert built == []
+        assert as_dict(found) == paper_table2_patterns()
+        assert miner.last_stats.initial_tree_nodes == 16
 
 class TestMaxLength:
     def test_caps_pattern_length(self, running_example):

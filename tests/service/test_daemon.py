@@ -494,6 +494,45 @@ def test_a_miss_on_known_bytes_does_not_hash_the_database(
     assert [record["dataset_digest"] for record in records] == [fresh, fresh]
 
 
+def test_a_vec_miss_builds_no_row_view_and_no_item_index(
+    tmp_path, monkeypatch
+):
+    """A miss parses the file into the database's id columns; the
+    digest and the rp-eclat-vec kernel's columnar view read those
+    columns, so neither the row tuple nor the item -> timestamps index
+    of the loaded database is ever built."""
+    path = tmp_path / "example.tsv"
+    path.write_bytes(EXAMPLE_TSV)
+    built = []
+    rows = TransactionalDatabase.transactions
+    index = TransactionalDatabase.item_timestamps
+
+    def transactions(self):
+        built.append("transactions")
+        return rows.fget(self)
+
+    def item_timestamps(self):
+        built.append("item_timestamps")
+        return index(self)
+
+    monkeypatch.setattr(
+        TransactionalDatabase, "transactions", property(transactions)
+    )
+    monkeypatch.setattr(
+        TransactionalDatabase, "item_timestamps", item_timestamps
+    )
+    request = MiningRequest(
+        per=2, min_ps=3, min_rec=1, engine="rp-eclat-vec",
+        source=DatasetRef.file(str(path)),
+    )
+    with running_service() as service:
+        client = ServiceClient(port=service.port)
+        answer = _answer(client, request)
+    assert answer["cache"] == "miss"
+    assert built == []
+    assert answer["patterns_tsv"] == _fresh_tsv(EXAMPLE_TSV, request, tmp_path)
+
+
 def test_concurrent_file_requests_under_contention(tmp_path):
     # Two pairs of byte-identical files, sixteen jobs at once on more
     # workers than cores, with the interpreter switching threads as

@@ -50,6 +50,11 @@ class TestEventFormat:
         with pytest.raises(DataFormatError, match="line 1"):
             load_event_sequence(io.StringIO("one\ta\n"))
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_timestamp_reports_line_number(self, text):
+        with pytest.raises(DataFormatError, match="line 2: .*finite"):
+            load_event_sequence(io.StringIO(f"1\ta\n{text}\tb\n"))
+
 
 class TestTransactionFormat:
     def test_round_trip_via_path(self, tmp_path, running_example):
@@ -75,6 +80,11 @@ class TestTransactionFormat:
     def test_empty_items_column(self):
         with pytest.raises(DataFormatError, match="line 1"):
             load_transactional_database(io.StringIO("1\t \n"))
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_timestamp_reports_line_number(self, text):
+        with pytest.raises(DataFormatError, match="line 2: .*finite"):
+            load_transactional_database(io.StringIO(f"1\ta\n{text}\tb\n"))
 
     def test_handle_left_open_after_write(self):
         buffer = io.StringIO()
