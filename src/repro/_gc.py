@@ -2,11 +2,11 @@
 
 Loading a database and running an engine each allocate hundreds of
 thousands of container objects (the parsed rows, the transactions, the
-RP-tree's nodes with their ``children`` dicts and ts-lists).  Every
-allocation burst triggers collections, and each gen-2 pass walks every
-tracked object built so far — work that finds no garbage, because
-these graphs are live until the operation ends.  :func:`paused_gc`
-keeps the collector off for the whole operation instead.
+RP-tree's nodes and ts-lists).  Every allocation burst triggers
+collections, and each gen-2 pass walks every tracked object built so
+far — work that finds no garbage, because these graphs are live until
+the operation ends.  :func:`paused_gc` keeps the collector off for the
+whole operation instead.
 
 Each pause saves the state it found and restores it on exit, so a
 nested pause, or a caller's own ``gc.disable()``, is left as it was,

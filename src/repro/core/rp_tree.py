@@ -16,7 +16,16 @@ Lemma 3 and conditional construction from accumulated paths.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Reversible,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.model import ResolvedParameters
 from repro.core.rp_list import RPList, build_rp_list
@@ -29,13 +38,21 @@ __all__ = ["RPTreeNode", "RPTree", "build_rp_tree"]
 class RPTreeNode:
     """One prefix-tree node.
 
-    ``ts_list`` is non-empty only while the node is the tail of at
-    least one inserted transaction (or has received pushed-up ts-lists
-    during mining).  The list is *not* kept sorted — it is a
-    concatenation of sorted runs, and consumers sort on assembly,
-    which Timsort's run detection resolves as a C-speed k-way merge.
-    Keeping the list eagerly sorted (or merging with
-    :func:`heapq.merge`) measured strictly slower; see
+    The node is kept small, because a tree holds one per distinct
+    prefix (Lemma 2) and most of them are interior nodes with one
+    child and no occurrence information of their own:
+
+    * ``children`` is ``None`` for a leaf, the child node itself while
+      the node has one child, and a dict ``item -> child`` once a
+      second child arrives (removals leave it a dict);
+    * ``ts_list`` is ``None`` until a timestamp is stored at the node
+      (it is the tail of an inserted transaction, or receives
+      pushed-up ts-lists during mining, or is unpickled with one).
+
+    A ts-list is *not* kept sorted — it is a concatenation of sorted
+    runs, and consumers sort on assembly, which Timsort's run detection
+    resolves as a C-speed k-way merge.  Keeping the list eagerly sorted
+    (or merging with :func:`heapq.merge`) measured strictly slower; see
     docs/performance.md.  The list never contains duplicates, because
     each timestamp identifies a unique transaction and each
     transaction maps to exactly one path (Property 3).
@@ -46,8 +63,29 @@ class RPTreeNode:
     def __init__(self, item: Optional[Item], parent: Optional["RPTreeNode"]):
         self.item = item
         self.parent = parent
-        self.children: Dict[Item, "RPTreeNode"] = {}
-        self.ts_list: List[float] = []
+        self.children: Union[
+            None, "RPTreeNode", Dict[Item, "RPTreeNode"]
+        ] = None
+        self.ts_list: Optional[List[float]] = None
+
+    def child_nodes(self) -> Reversible["RPTreeNode"]:
+        """This node's children, in insertion order."""
+        children = self.children
+        if children is None:
+            return ()
+        if type(children) is dict:
+            return children.values()
+        return (children,)
+
+    def add_child(self, child: "RPTreeNode") -> None:
+        """Link ``child`` (whose item no child of this node has)."""
+        children = self.children
+        if children is None:
+            self.children = child
+        elif type(children) is dict:
+            children[child.item] = child
+        else:
+            self.children = {children.item: children, child.item: child}
 
     def path_items(self) -> List[Item]:
         """Items from this node's parent up to (excluding) the root.
@@ -97,13 +135,22 @@ class RPTree:
             return
         node = self.root
         for item in sorted_items:
-            child = node.children.get(item)
+            children = node.children
+            if type(children) is dict:
+                child = children.get(item)
+            elif children is not None and children.item == item:
+                child = children
+            else:
+                child = None
             if child is None:
                 child = RPTreeNode(item, node)
-                node.children[item] = child
+                node.add_child(child)
                 self.nodes_by_item.setdefault(item, []).append(child)
             node = child
-        node.ts_list.extend(timestamps)
+        if node.ts_list is None:
+            node.ts_list = list(timestamps)
+        else:
+            node.ts_list.extend(timestamps)
 
     # ------------------------------------------------------------------
     # Mining support
@@ -125,7 +172,8 @@ class RPTree:
         """
         merged: List[float] = []
         for node in self.nodes_by_item.get(item, ()):
-            merged.extend(node.ts_list)
+            if node.ts_list:
+                merged.extend(node.ts_list)
         merged.sort()
         return merged
 
@@ -164,8 +212,9 @@ class RPTree:
             stack = [node]
             while stack:
                 current = stack.pop()
-                ts_list.extend(current.ts_list)
-                stack.extend(current.children.values())
+                if current.ts_list:
+                    ts_list.extend(current.ts_list)
+                stack.extend(current.child_nodes())
             if not ts_list:
                 continue
             path = node.path_items()
@@ -181,12 +230,10 @@ class RPTree:
         the same transactions.  The push-up concatenates; sorting is
         deferred to the consumers (:meth:`pattern_timestamps` and the
         conditional-tree build), which pay one Timsort run-merge each
-        instead of a merge per push-up level.
+        instead of a merge per push-up level.  A parent with no ts-list
+        of its own takes the removed node's list as it is.
         """
         for node in self.nodes_by_item.get(item, ()):
-            parent = node.parent
-            if node.ts_list:
-                parent.ts_list.extend(node.ts_list)
             # An item's nodes are always leaves when it is the
             # bottom-most remaining item; guard anyway so misuse fails
             # loudly instead of silently dropping subtrees.
@@ -194,28 +241,38 @@ class RPTree:
                 raise RuntimeError(
                     f"cannot remove item {item!r}: node still has children"
                 )
-            del parent.children[item]
+            parent = node.parent
+            if node.ts_list:
+                if parent.ts_list is None:
+                    parent.ts_list = node.ts_list
+                else:
+                    parent.ts_list.extend(node.ts_list)
+            if parent.children is node:
+                parent.children = None
+            else:
+                del parent.children[item]
         self.nodes_by_item.pop(item, None)
 
     def __del__(self) -> None:
         # Nodes link both ways, so a tree that was read but never swept
         # (the parallel layer's initial tree) would otherwise wait for a
         # full cyclic collection; unlinking children frees it at once.
+        self.root.children = None
         for nodes in self.nodes_by_item.values():
             for node in nodes:
-                node.children.clear()
+                node.children = None
 
     def __getstate__(self) -> dict:
         # Flat pre-order form for ``spawn`` workers: pickling the linked
         # nodes directly recurses per level and overflows on deep trees.
         position: Dict[Optional[RPTreeNode], int] = {None: -1}
-        flat: List[Tuple[Optional[Item], int, List[float]]] = []
+        flat: List[Tuple[Optional[Item], int, Optional[List[float]]]] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
             position[node] = len(flat)
             flat.append((node.item, position[node.parent], node.ts_list))
-            stack.extend(reversed(node.children.values()))
+            stack.extend(reversed(node.child_nodes()))
         by_item = {
             item: [position[node] for node in nodes]
             for item, nodes in self.nodes_by_item.items()
@@ -228,7 +285,7 @@ class RPTree:
             node = RPTreeNode(item, nodes[parent] if parent >= 0 else None)
             node.ts_list = ts_list
             if node.parent is not None:
-                node.parent.children[item] = node
+                node.parent.add_child(node)
             nodes.append(node)
         self.root = nodes[0]
         self.order = state["order"]
@@ -257,6 +314,7 @@ class RPTree:
             len(node.ts_list)
             for nodes in self.nodes_by_item.values()
             for node in nodes
+            if node.ts_list
         )
 
     def paths(self) -> List[Tuple[Tuple[Item, ...], Tuple[float, ...]]]:
@@ -272,7 +330,7 @@ class RPTree:
                 prefix = prefix + (node.item,)
                 if node.ts_list:
                     collected.append((prefix, tuple(sorted(node.ts_list))))
-            for child in node.children.values():
+            for child in node.child_nodes():
                 visit(child, prefix)
 
         visit(self.root, ())

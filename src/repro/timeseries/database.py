@@ -469,7 +469,11 @@ def _number_rows(
             raise DataFormatError(
                 f"transaction timestamp must be a number, got {ts!r}"
             )
-        if not isfinite(ts):
+        try:
+            finite = isfinite(ts)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise DataFormatError(
                 f"transaction timestamp must be finite, got {ts!r}"
             )

@@ -71,7 +71,11 @@ class EventSequence:
                 raise DataFormatError(
                     f"event timestamp must be a number, got {ts!r}"
                 )
-            if not math.isfinite(ts):
+            try:
+                finite = math.isfinite(ts)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
                 raise DataFormatError(
                     f"event timestamp must be finite, got {ts!r}"
                 )

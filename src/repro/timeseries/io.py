@@ -234,22 +234,30 @@ def _skipped(line: str) -> bool:
     return not line.strip() or line.lstrip().startswith("#")
 
 
+#: An int written in at most this many characters is below 10**308,
+#: inside the float range (about 1.8e308), so the transaction reader's
+#: fast path needs no range check; a longer timestamp goes through
+#: :func:`_parse_ts`, which checks it.
+_FLOAT_SAFE_CHARS = 308
+
+
 def _transaction_lines(
     source: PathOrFile,
 ) -> Iterator[Tuple[int, float, List[str]]]:
     """Yield ``(line_number, ts, items)`` per transaction line.
 
     The one parser of the transaction format.  A line of an int
-    timestamp, one tab and at least one item — every line the writer
-    emits — is parsed with two splits and an ``int``; any other line
-    is skipped if blank or a comment (:func:`_skipped`), else parsed
-    by :func:`_parse_transaction_line`, which raises with its line
-    number on a malformed one.
+    timestamp of at most :data:`_FLOAT_SAFE_CHARS` characters, one tab
+    and at least one item — every line the writer emits — is parsed
+    with two splits and an ``int``; any other line is skipped if blank
+    or a comment (:func:`_skipped`), else parsed by
+    :func:`_parse_transaction_line`, which raises with its line number
+    on a malformed one.
     """
     with _Opened(source, "r") as handle:
         for line_no, raw in enumerate(handle, start=1):
             parts = raw.split("\t")
-            if len(parts) == 2:
+            if len(parts) == 2 and len(parts[0]) <= _FLOAT_SAFE_CHARS:
                 items = parts[1].split()
                 if items:
                     try:
@@ -304,18 +312,23 @@ class _Opened:
 def _parse_ts(text: str, line_no: int) -> float:
     text = text.strip()
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise DataFormatError(
-            f"line {line_no}: unparsable timestamp {text!r}"
-        ) from exc
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise DataFormatError(
+                f"line {line_no}: unparsable timestamp {text!r}"
+            ) from exc
     # float() also reads 'nan', 'inf' and out-of-range values like
-    # '1e400'; the database would reject them without the line number.
-    if not math.isfinite(value):
+    # '1e400', and int() reads ints beyond the float range, where
+    # isfinite raises; the database would reject them without the
+    # line number.
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise DataFormatError(
             f"line {line_no}: timestamp must be finite, got {text!r}"
         )

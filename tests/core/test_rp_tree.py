@@ -2,6 +2,7 @@
 
 import gc
 import pickle
+import tracemalloc
 import weakref
 
 import pytest
@@ -114,7 +115,8 @@ class TestSubtreePrefixPaths:
     """The identity the parallel RP-growth partition rests on: a header
     item's base read off the initial tree is what ``prefix_paths``
     returns once the bottom-up sweep has pushed everything below it up
-    (Lemma 3)."""
+    (Lemma 3).  A pickled clone, the form a ``spawn`` worker receives,
+    reads the same."""
 
     @settings(
         max_examples=60,
@@ -137,12 +139,15 @@ class TestSubtreePrefixPaths:
             ]
             swept.remove_item(item)
         before = tree.paths()
+        clone = pickle.loads(pickle.dumps(tree))
+        assert clone.paths() == before
         # Top-down: each read is independent of every other suffix.
         for item in reversed(list(expected)):
-            read = tree.subtree_prefix_paths(item)
-            assert [(path, sorted(ts)) for path, ts in read] == (
-                expected[item]
-            )
+            for read_from in (tree, clone):
+                read = read_from.subtree_prefix_paths(item)
+                assert [(path, sorted(ts)) for path, ts in read] == (
+                    expected[item]
+                )
         assert tree.paths() == before
 
 
@@ -157,12 +162,14 @@ class TestRelease:
         tree = RPTree({a: 0, b: 1})
         tree.insert([a, b], (1.0,))
         tree.subtree_prefix_paths(b)
-        alive = weakref.ref(b)
+        # The root and a's node link to each other as much as a's node
+        # and b's do.
+        alive = [weakref.ref(a), weakref.ref(b)]
         del a, b
         gc.disable()
         try:
             del tree
-            assert alive() is None
+            assert [ref() for ref in alive] == [None, None]
         finally:
             gc.enable()
 
@@ -188,6 +195,49 @@ class TestPickle:
         clone = pickle.loads(pickle.dumps(tree))
         assert clone.node_count() == depth
         assert clone.prefix_paths(depth - 1) == tree.prefix_paths(depth - 1)
+
+
+class TestCompactLayout:
+    def test_unshared_paths_retain_at_most_150_bytes_per_node(self):
+        # No two paths share a prefix, so every interior node has one
+        # child and no ts-list: the case that dominates a real tree
+        # (82% of the nodes at quest-0.2).  With a dict of children and
+        # an empty ts-list in every node this tree retained about 350
+        # bytes per node.
+        depth, paths = 10, 2000
+        shared = list(range(paths, paths + depth - 1))
+        tree = RPTree({rank: rank for rank in range(paths + depth)})
+        rows = [([first] + shared, (float(first),)) for first in range(paths)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for items, timestamps in rows:
+                tree.insert(items, timestamps)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert tree.node_count() == depth * paths
+        assert tree.ts_entry_count() == paths
+        assert retained / tree.node_count() <= 150
+
+    def test_child_slot_holds_none_one_node_or_a_dict(self):
+        tree = RPTree({"a": 0, "b": 1, "c": 2})
+        tree.insert(["a", "b"], (1,))
+        (a,) = tree.nodes_by_item["a"]
+        (b,) = tree.nodes_by_item["b"]
+        assert a.children is b and b.children is None
+        assert a.ts_list is None and b.ts_list == [1]
+        tree.insert(["a", "c"], (2,))
+        (c,) = tree.nodes_by_item["c"]
+        assert a.children == {"b": b, "c": c}
+        pushed = c.ts_list
+        tree.remove_item("c")
+        # The push-up hands c's list to a, which held none ...
+        assert a.ts_list is pushed
+        tree.remove_item("b")
+        # ... and extends it from then on.
+        assert a.ts_list == [2, 1]
+        assert not a.children
 
 
 class TestLemma2Bound:

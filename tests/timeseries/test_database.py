@@ -34,6 +34,10 @@ class TestConstruction:
         with pytest.raises(DataFormatError):
             TransactionalDatabase([(float("nan"), "a")])
 
+    def test_rejects_int_timestamp_beyond_float_range(self):
+        with pytest.raises(DataFormatError, match="finite"):
+            TransactionalDatabase([(1, "a"), (10 ** 400, "b")])
+
     def test_rejects_malformed_row(self):
         with pytest.raises(DataFormatError):
             TransactionalDatabase([(1, "a", "extra")])

@@ -50,6 +50,10 @@ class TestConstruction:
         with pytest.raises(DataFormatError):
             EventSequence([("a", float("inf"))])
 
+    def test_rejects_int_timestamp_beyond_float_range(self):
+        with pytest.raises(DataFormatError, match="finite"):
+            EventSequence([("a", 1), ("b", -(10 ** 400))])
+
 
 class TestAccessors:
     def test_start_end(self):

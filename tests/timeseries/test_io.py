@@ -17,6 +17,18 @@ from repro.timeseries.io import (
 )
 
 
+# What float() reads as not finite, and ints beyond the float range,
+# which math.isfinite refuses with OverflowError instead.
+NON_FINITE_TEXTS = [
+    "nan",
+    "inf",
+    "-inf",
+    "1e400",
+    pytest.param("1" + "0" * 400, id="int-beyond-float"),
+    pytest.param("-1" + "0" * 400, id="negative-int-beyond-float"),
+]
+
+
 class TestEventFormat:
     def test_round_trip_via_path(self, tmp_path):
         seq = EventSequence([("a", 1), ("b", 2), ("a", 2)])
@@ -50,7 +62,7 @@ class TestEventFormat:
         with pytest.raises(DataFormatError, match="line 1"):
             load_event_sequence(io.StringIO("one\ta\n"))
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("text", NON_FINITE_TEXTS)
     def test_non_finite_timestamp_reports_line_number(self, text):
         with pytest.raises(DataFormatError, match="line 2: .*finite"):
             load_event_sequence(io.StringIO(f"1\ta\n{text}\tb\n"))
@@ -81,7 +93,7 @@ class TestTransactionFormat:
         with pytest.raises(DataFormatError, match="line 1"):
             load_transactional_database(io.StringIO("1\t \n"))
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("text", NON_FINITE_TEXTS)
     def test_non_finite_timestamp_reports_line_number(self, text):
         with pytest.raises(DataFormatError, match="line 2: .*finite"):
             load_transactional_database(io.StringIO(f"1\ta\n{text}\tb\n"))
