@@ -15,9 +15,11 @@ byte-identical to a fresh local mine — caching that changed an answer
 would be a bug, not a speedup.  The median warm/cold ratio is recorded
 to ``BENCH_service.json`` (a ``repro-bench/v1`` envelope embedding the
 service's final metrics snapshot) and **gated at ≥2×**.  The gate is
-conservative: a warm hit pays reading and hashing the file's bytes +
-HTTP, a cold miss pays that plus the parse, the digest and the mine, and
-at this workload's thresholds the mine alone is several times the rest.
+conservative: a warm hit pays reading and hashing the file's bytes, the
+lookup and HTTP (its job holds the TSV the miss cached, so it
+serializes nothing), a cold miss pays the read and hash plus the parse,
+the digest, the mine and one serialization, and at this workload's
+thresholds the mine alone is several times the rest.
 
 A second test checks that a hit never parses: at 1× and 10× the Quest
 input (scale 0.2 and 2.0) the daemon's own ``seconds`` for an exact hit
@@ -25,6 +27,8 @@ is recorded next to one parse of the same file timed here, to
 ``BENCH_service_hit.json``.  The median 10× hit must cost at most
 **5%** of the 10× parse.  The 10×/1× hit ratio is recorded but not
 gated: reading and hashing the bytes is O(bytes) too, only a small one.
+Besides that read and hash, a hit's ``seconds`` holds the lookup and
+its run record; it serializes no patterns.
 The 10× miss that fills the cache mines 200k transactions with the
 columnar kernel, so this test peaks at about 2 GB of RSS.
 """

@@ -231,8 +231,11 @@ class RPTree:
         deferred to the consumers (:meth:`pattern_timestamps` and the
         conditional-tree build), which pay one Timsort run-merge each
         instead of a merge per push-up level.  A parent with no ts-list
-        of its own takes the removed node's list as it is.
+        of its own takes the removed node's list as it is.  The root
+        stands for the empty path, which no read asks for, so nothing
+        is pushed into it.
         """
+        root = self.root
         for node in self.nodes_by_item.get(item, ()):
             # An item's nodes are always leaves when it is the
             # bottom-most remaining item; guard anyway so misuse fails
@@ -242,7 +245,7 @@ class RPTree:
                     f"cannot remove item {item!r}: node still has children"
                 )
             parent = node.parent
-            if node.ts_list:
+            if node.ts_list and parent is not root:
                 if parent.ts_list is None:
                     parent.ts_list = node.ts_list
                 else:

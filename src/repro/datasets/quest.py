@@ -22,6 +22,7 @@ transforming to a time-based sequence).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -86,6 +87,11 @@ def generate_quest(config: QuestConfig = QuestConfig()) -> TransactionalDatabase
     potential = _potential_itemsets(rng, config)
     weights = rng.exponential(1.0, size=len(potential))
     weights /= weights.sum()
+    # ``rng.choice(len(potential), p=weights)`` draws one ``random()``
+    # and bisects this cdf; building it once per database instead of
+    # once per draw keeps every drawn value.
+    cumulative = weights.cumsum()
+    cdf = (cumulative / cumulative[-1]).tolist()
     corruption = np.clip(
         rng.normal(config.corruption_mean, config.corruption_sd, len(potential)),
         0.0,
@@ -99,7 +105,7 @@ def generate_quest(config: QuestConfig = QuestConfig()) -> TransactionalDatabase
         while config.gap_probability and rng.random() < config.gap_probability:
             ts += 1  # silent timestamp: no transaction is emitted there
         size = max(1, rng.poisson(config.avg_transaction_size))
-        basket = _fill_transaction(rng, potential, weights, corruption, size)
+        basket = _fill_transaction(rng, potential, cdf, corruption, size)
         if basket:
             rows.append((ts, tuple(f"i{i}" for i in basket)))
     return TransactionalDatabase(rows)
@@ -133,7 +139,7 @@ def _potential_itemsets(
 def _fill_transaction(
     rng: np.random.Generator,
     potential: List[np.ndarray],
-    weights: np.ndarray,
+    cdf: List[float],
     corruption: np.ndarray,
     size: int,
 ) -> List[int]:
@@ -147,7 +153,7 @@ def _fill_transaction(
     attempts = 0
     while len(basket) < size and attempts < 8 * size:
         attempts += 1
-        index = int(rng.choice(len(potential), p=weights))
+        index = bisect_right(cdf, rng.random())
         drop = corruption[index]
         for item in potential[index]:
             if drop and rng.random() < drop:

@@ -12,7 +12,9 @@ a b<TAB>7<TAB>1:4:3,11:14:3
 ```
 
 Columns: space-separated items, support, comma-separated
-``start:end:periodic_support`` interval triples.
+``start:end:periodic_support`` interval triples.  Items may hold none
+of the separators, so :func:`filter_patterns_tsv` can select rows by
+their interval count without parsing them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ from repro.exceptions import DataFormatError
 
 PathOrFile = Union[str, "os.PathLike[str]", IO[str]]
 
-__all__ = ["save_patterns", "load_patterns"]
+__all__ = [
+    "count_patterns_tsv",
+    "filter_patterns_tsv",
+    "load_patterns",
+    "save_patterns",
+]
 
 _HEADER = "# repro recurring patterns v1"
 
@@ -49,6 +56,30 @@ def load_patterns(source: PathOrFile) -> RecurringPatternSet:
         return _read(source)  # type: ignore[arg-type]
     with open(source, "r", encoding="utf-8") as handle:
         return _read(handle)
+
+
+def count_patterns_tsv(patterns_tsv: str) -> int:
+    """The number of patterns in a :func:`save_patterns` text: one per
+    line after the header."""
+    return patterns_tsv.count("\n") - 1
+
+
+def filter_patterns_tsv(patterns_tsv: str, min_recurrence: int) -> str:
+    """The header and the rows of ``patterns_tsv`` whose pattern has at
+    least ``min_recurrence`` periodic-intervals.
+
+    Equal to ``save_patterns(patterns.filter(min_recurrence=...))`` for
+    the set ``patterns`` the text was saved from: a filter keeps the
+    set's order, every row holds at least one interval triple (as every
+    mined pattern does, and as :func:`load_patterns` requires), and no
+    item or number holds a ``,``, so a row's commas count its triples
+    less one.
+    """
+    header, _, body = patterns_tsv.partition("\n")
+    commas = min_recurrence - 1
+    # ``[:-1]`` drops the empty piece after the last row's newline.
+    kept = [row for row in body.split("\n")[:-1] if row.count(",") >= commas]
+    return "\n".join([header, *kept, ""])
 
 
 def _write(patterns: RecurringPatternSet, handle: IO[str]) -> None:

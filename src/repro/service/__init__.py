@@ -5,9 +5,11 @@ daemon that accepts :class:`~repro.core.request.MiningRequest` wire
 forms on ``POST /jobs``, mines them on a bounded worker pool through
 the same :func:`~repro.core.miner.execute_request` dispatch every
 other surface uses, and answers repeats from a content-addressed
-:class:`ResultCache` — including *derived* answers, where a cached
-looser-``min_rec`` cell in the same ``(dataset, engine, per, min_ps)``
-column is recurrence-filtered down, byte-identical to a fresh mine.
+:class:`ResultCache` of the patterns TSVs its misses served.  A hit
+serves its cell's string unchanged; a *derived* answer keeps the rows
+of a cached looser-``min_rec`` cell in the same ``(dataset, engine,
+per, min_ps)`` column whose patterns have at least ``min_rec``
+periodic-intervals, byte-identical to a fresh mine.
 :class:`ServiceClient` (behind ``repro-mine submit``/``status``/
 ``fetch``) is the matching stdlib client.
 """

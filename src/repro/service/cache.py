@@ -3,18 +3,24 @@
 Entries are keyed by :meth:`MiningRequest.cache_key` —
 ``(dataset_digest, engine, per, min_ps, min_rec)`` — so a cached
 answer can never leak across datasets, engines or threshold points.
-The sweep engine's min_rec derivation theorem (``docs/api.md``) adds a
-second way to hit: within one *column* ``(dataset_digest, engine, per,
-min_ps)``, the patterns at a tighter (larger) ``min_rec`` are a pure
-recurrence filter of any looser cached cell, with identical support /
-recurrence / interval metadata.  :meth:`ResultCache.get` therefore
-serves a request from any cached column cell whose ``min_rec`` is at
-most the requested one — byte-identical to a fresh mine, a guarantee
-property-tested in ``tests/service/test_cache.py``.
+Each entry is the patterns TSV (:func:`~repro.patterns_io.save_patterns`)
+that the miss which filled it served, and an exact hit hands out that
+same string.  The sweep engine's min_rec derivation theorem
+(``docs/api.md``) adds a second way to hit: within one *column*
+``(dataset_digest, engine, per, min_ps)``, the patterns at a tighter
+(larger) ``min_rec`` are a pure recurrence filter of any looser cached
+cell, with identical support / recurrence / interval metadata.
+:meth:`ResultCache.get` therefore serves a request from any cached
+column cell whose ``min_rec`` is at most the requested one, keeping the
+rows of that cell's TSV with enough interval triples
+(:func:`~repro.patterns_io.filter_patterns_tsv`) — byte-identical to a
+fresh mine, a guarantee property-tested in
+``tests/service/test_cache.py``.
 
 Eviction is LRU over exact entries; a derivation refreshes its base
 entry's recency (the base just proved itself useful).  The cache is
-thread-safe: the daemon's worker pool calls it from executor threads.
+thread-safe: the daemon's worker pool calls it from executor threads,
+and a derivation filters its base's (immutable) text outside the lock.
 
 Beside the entries the cache keeps a memo from the SHA-256 of a file's
 raw bytes to the canonical ``dataset_digest`` those bytes parse to
@@ -31,9 +37,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.core.model import RecurringPatternSet
 from repro.core.request import MiningRequest
 from repro.exceptions import ParameterError
+from repro.patterns_io import count_patterns_tsv, filter_patterns_tsv
 
 __all__ = ["CacheOutcome", "ResultCache"]
 
@@ -42,18 +48,23 @@ __all__ = ["CacheOutcome", "ResultCache"]
 class CacheOutcome:
     """What a lookup produced and how.
 
-    ``how`` is ``"hit"`` (exact key) or ``"derived"`` (recurrence
-    filter of a looser column cell); ``base_min_rec`` names the cached
-    cell that served a derivation.
+    ``patterns_tsv`` is the answer as the daemon serves it: the cached
+    string itself on a hit, the kept rows of the base cell's string on
+    a derivation.  ``patterns_found`` counts its patterns.  ``how`` is
+    ``"hit"`` (exact key) or ``"derived"`` (recurrence filter of a
+    looser column cell); ``base_min_rec`` names the cached cell that
+    served a derivation.
     """
 
-    patterns: RecurringPatternSet
+    patterns_tsv: str
+    patterns_found: int
     how: str
     base_min_rec: Optional[int] = None
 
 
 class ResultCache:
-    """LRU result cache with min_rec column derivation."""
+    """LRU cache of the patterns TSVs misses served, with min_rec
+    column derivation."""
 
     def __init__(self, max_entries: int = 64):
         if isinstance(max_entries, bool) or not isinstance(
@@ -64,9 +75,7 @@ class ResultCache:
             )
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple, RecurringPatternSet]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[Tuple, str]" = OrderedDict()
         self._digests: "OrderedDict[str, str]" = OrderedDict()
         self.hits = 0
         self.derived = 0
@@ -84,11 +93,13 @@ class ResultCache:
         key = request.cache_key(dataset_digest)
         column = request.column_key(dataset_digest)
         with self._lock:
-            patterns = self._entries.get(key)
-            if patterns is not None:
+            patterns_tsv = self._entries.get(key)
+            if patterns_tsv is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return CacheOutcome(patterns=patterns, how="hit")
+                return CacheOutcome(
+                    patterns_tsv, count_patterns_tsv(patterns_tsv), "hit"
+                )
             # The derivation theorem: any cached cell of the same
             # column at a looser (smaller) min_rec can answer.  Prefer
             # the tightest such base — it filters the least.
@@ -103,29 +114,30 @@ class ResultCache:
             if base_key is None:
                 self.misses += 1
                 return None
-            base = self._entries[base_key]
+            base_tsv = self._entries[base_key]
             self._entries.move_to_end(base_key)
             self.derived += 1
-            return CacheOutcome(
-                patterns=base.filter(min_recurrence=request.min_rec),
-                how="derived",
-                base_min_rec=base_key[4],
-            )
+        patterns_tsv = filter_patterns_tsv(base_tsv, request.min_rec)
+        return CacheOutcome(
+            patterns_tsv, count_patterns_tsv(patterns_tsv), "derived",
+            base_min_rec=base_key[4],
+        )
 
     def put(
         self,
         request: MiningRequest,
         dataset_digest: str,
-        patterns: RecurringPatternSet,
+        patterns_tsv: str,
     ) -> int:
-        """Cache a freshly mined cell, evicting LRU entries if full.
+        """Cache the patterns TSV a miss served, evicting LRU entries
+        if full.
 
         Returns the number of entries this call evicted.
         """
         key = request.cache_key(dataset_digest)
         evicted = 0
         with self._lock:
-            self._entries[key] = patterns
+            self._entries[key] = patterns_tsv
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

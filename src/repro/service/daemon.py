@@ -284,8 +284,12 @@ class MiningService:
         seen, and misses, are parsed: the very bytes that were hashed.
         A miss hands the digest it already holds to its run record, so
         the parsed database is hashed at most once, and not at all when
-        the memo knew the bytes.  Every run record's ``seconds`` is the
-        job's own: read, hash, parse, lookup or mine, and the TSV write.
+        the memo knew the bytes.  A miss serializes its patterns once
+        and caches that TSV; a hit's job holds the same string object,
+        and a derivation the kept rows of its base cell's string, so
+        neither serializes.  Every run record's ``seconds`` is the
+        job's own: read, hash, parse, lookup or mine, and a miss's TSV
+        write.
         """
         started = time.perf_counter()
         try:
@@ -306,7 +310,8 @@ class MiningService:
                     self.cache.record_digest(raw_digest, digest)
             outcome = self.cache.get(request, digest)
             if outcome is not None:
-                patterns = outcome.patterns
+                patterns_tsv = outcome.patterns_tsv
+                patterns_found = outcome.patterns_found
                 record = _served_record(request, digest, outcome)
                 self._counter(
                     "repro_service_cache_hit_total"
@@ -335,15 +340,17 @@ class MiningService:
                 record["cache"] = "miss"
                 job.cache = "miss"
                 self._counter("repro_service_cache_miss_total").inc()
-                evicted = self.cache.put(request, digest, patterns)
+                buffer = io.StringIO()
+                save_patterns(patterns, buffer)
+                patterns_tsv = buffer.getvalue()
+                patterns_found = len(patterns)
+                evicted = self.cache.put(request, digest, patterns_tsv)
                 if evicted:
                     self._counter(
                         "repro_service_cache_evictions_total"
                     ).inc(evicted)
-            buffer = io.StringIO()
-            save_patterns(patterns, buffer)
-            job.patterns_tsv = buffer.getvalue()
-            job.patterns_found = len(patterns)
+            job.patterns_tsv = patterns_tsv
+            job.patterns_found = patterns_found
             job.seconds = record["seconds"] = time.perf_counter() - started
             validate_run_record(record)
             self._write_trace(record)
@@ -376,7 +383,7 @@ def _served_record(
     """A cache-served job's run record: it describes the serve, not the
     mine that filled the cell — no spans, and every counter 0 but
     ``patterns_found``.  The caller sets ``seconds`` to the job's."""
-    found = len(outcome.patterns)
+    found = outcome.patterns_found
     extra: Dict[str, object] = {"dataset_digest": digest, "cache": outcome.how}
     if outcome.base_min_rec is not None:
         extra["cache_base_min_rec"] = outcome.base_min_rec

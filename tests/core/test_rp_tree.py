@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import MiningParameters
+from repro.core.rp_growth import RPGrowth
 from repro.core.rp_tree import ITEM_ORDERS, RPTree, build_rp_tree
+from repro.obs.counters import MiningStats
 from repro.timeseries.database import TransactionalDatabase
 from tests.conftest import mining_parameters, small_databases
 
@@ -96,6 +98,18 @@ class TestTreeOperations:
         assert "f" not in paper_tree.nodes_by_item
         # e inherits f's ts-lists (Figure 6(c)): TS^e is now complete.
         assert paper_tree.pattern_timestamps("e") == [3, 5, 6, 10, 11, 12]
+
+    def test_sweep_pushes_nothing_into_the_root(
+        self, paper_tree, running_example
+    ):
+        found = []
+        RPGrowth(PARAMS.per, PARAMS.min_ps, PARAMS.min_rec)._mine_tree(
+            paper_tree, (), PARAMS.resolve(len(running_example)), found,
+            MiningStats(),
+        )
+        assert len(found) == 8  # Table 2
+        assert paper_tree.root.ts_list is None
+        assert not paper_tree.root.children
 
     def test_remove_non_leaf_raises(self, paper_tree):
         with pytest.raises(RuntimeError):

@@ -21,6 +21,31 @@ class TestDeterminism:
         )
         assert generate_quest(SMALL) != generate_quest(other)
 
+    # Digests of the generator's output before it bisected one cdf in
+    # place of a weighted ``rng.choice`` per draw; the first config is
+    # the golden corpus's input (``quest_workload(0.001, seed=11)``).
+    @pytest.mark.parametrize("config, digest", [
+        (
+            QuestConfig(n_transactions=100, seed=11),
+            "37cf5e0622786e4aee2dd10f9a34d3e3b3f50ea56c0c1a498a8d50bc6ca50b75",
+        ),
+        (
+            QuestConfig(
+                n_transactions=500, n_items=50, gap_probability=0.3, seed=5
+            ),
+            "124954f6e7e2701a7d3cf20ba46e3feed580e352d29a368ca9fe24164cd620d0",
+        ),
+        (
+            QuestConfig(
+                n_transactions=200, n_items=20, n_patterns=15,
+                avg_transaction_size=6.0, seed=3,
+            ),
+            "cccd4a5a1134382e35ec715fde7943c60e3ea2920c578a4253d6a7383ce8e619",
+        ),
+    ])
+    def test_stream_is_pinned(self, config, digest):
+        assert generate_quest(config).digest() == digest
+
 
 class TestShape:
     def test_transaction_count(self):

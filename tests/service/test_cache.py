@@ -1,12 +1,13 @@
 """The service result cache: derivation byte-identity, LRU, stats.
 
-The cache's headline guarantee is the same theorem the sweep engine
-pins (``tests/sweep/test_derivation_property.py``): serving a tighter
-``min_rec`` by filtering a cached looser cell of the same ``(dataset,
-engine, per, minPS)`` column is byte-identical — same canonical view,
-same saved TSV — to mining that cell from scratch.  Here it is checked
-at the service boundary, across every registered engine, on seeded
-random databases.
+A cache cell is the patterns TSV its miss served.  The cache's headline
+guarantee is the same theorem the sweep engine pins
+(``tests/sweep/test_derivation_property.py``): serving a tighter
+``min_rec`` by filtering the rows of a cached looser cell of the same
+``(dataset, engine, per, minPS)`` column is byte-identical — same saved
+TSV, same canonical view once loaded — to mining that cell from
+scratch.  Here it is checked at the service boundary, across every
+registered engine, on seeded random databases.
 """
 
 import io
@@ -20,7 +21,7 @@ from repro import mine_recurring_patterns
 from repro.core.engines import engine_names
 from repro.core.request import MiningRequest
 from repro.exceptions import ParameterError
-from repro.patterns_io import save_patterns
+from repro.patterns_io import load_patterns, save_patterns
 from repro.qa.differential import (
     BASE_SEED,
     canonical,
@@ -66,19 +67,24 @@ def test_derived_answer_is_byte_identical_to_fresh_mine(engine, case):
     loose = MiningRequest(
         per=per, min_ps=min_ps, min_rec=min_rec, engine=engine
     )
-    cache.put(loose, digest, _mine(database, loose))
+    cached = _tsv(_mine(database, loose))
+    cache.put(loose, digest, cached)
 
     for delta in (0, 1, 3):
         tight = loose.with_thresholds(min_rec=min_rec + delta)
         outcome = cache.get(tight, digest)
         assert outcome is not None, "same column must always answer"
         assert outcome.how == ("hit" if delta == 0 else "derived")
+        if delta == 0:
+            assert outcome.patterns_tsv is cached
         fresh = _mine(database, tight)
-        assert canonical(outcome.patterns) == canonical(fresh)
-        assert _tsv(outcome.patterns) == _tsv(fresh), (
+        assert outcome.patterns_tsv == _tsv(fresh), (
             f"seed {BASE_SEED + case} engine {engine}: derived TSV "
             f"differs at min_rec={min_rec + delta}"
         )
+        served = load_patterns(io.StringIO(outcome.patterns_tsv))
+        assert canonical(served) == canonical(fresh)
+        assert outcome.patterns_found == len(fresh)
 
 
 def test_derivation_prefers_the_tightest_cached_base(running_example):
@@ -86,7 +92,7 @@ def test_derivation_prefers_the_tightest_cached_base(running_example):
     cache = ResultCache()
     for min_rec in (1, 2):
         request = MiningRequest(per=2, min_ps=3, min_rec=min_rec)
-        cache.put(request, digest, _mine(running_example, request))
+        cache.put(request, digest, _tsv(_mine(running_example, request)))
     outcome = cache.get(
         MiningRequest(per=2, min_ps=3, min_rec=3), digest
     )
@@ -98,7 +104,7 @@ def test_looser_requests_never_served_from_tighter_cells(running_example):
     digest = running_example.digest()
     cache = ResultCache()
     tight = MiningRequest(per=2, min_ps=3, min_rec=2)
-    cache.put(tight, digest, _mine(running_example, tight))
+    cache.put(tight, digest, _tsv(_mine(running_example, tight)))
     assert cache.get(
         MiningRequest(per=2, min_ps=3, min_rec=1), digest
     ) is None
@@ -108,7 +114,7 @@ def test_no_cross_contamination(running_example):
     digest = running_example.digest()
     cache = ResultCache()
     request = MiningRequest(per=2, min_ps=3, min_rec=1)
-    cache.put(request, digest, _mine(running_example, request))
+    cache.put(request, digest, _tsv(_mine(running_example, request)))
     # Different digest, engine, per or min_ps: all misses.
     assert cache.get(request, "other-digest") is None
     for other in (
@@ -128,9 +134,9 @@ def test_lru_eviction_drops_the_oldest_entry(running_example):
     requests = [
         MiningRequest(per=per, min_ps=3, min_rec=1) for per in (1, 2, 3)
     ]
-    patterns = _mine(running_example, requests[1])
+    patterns_tsv = _tsv(_mine(running_example, requests[1]))
     for request in requests:
-        cache.put(request, digest, patterns)
+        cache.put(request, digest, patterns_tsv)
     assert len(cache) == 2
     assert cache.stats()["evictions"] == 1
     assert cache.get(requests[0], digest) is None  # evicted
@@ -144,11 +150,11 @@ def test_a_hit_refreshes_recency(running_example):
     a = MiningRequest(per=1, min_ps=3)
     b = MiningRequest(per=2, min_ps=3)
     c = MiningRequest(per=3, min_ps=3)
-    patterns = _mine(running_example, b)
-    cache.put(a, digest, patterns)
-    cache.put(b, digest, patterns)
+    patterns_tsv = _tsv(_mine(running_example, b))
+    cache.put(a, digest, patterns_tsv)
+    cache.put(b, digest, patterns_tsv)
     cache.get(a, digest)  # a becomes most recent
-    cache.put(c, digest, patterns)  # evicts b, not a
+    cache.put(c, digest, patterns_tsv)  # evicts b, not a
     assert cache.get(a, digest) is not None
     assert cache.get(b, digest) is None
 
@@ -158,16 +164,18 @@ def test_put_returns_its_own_evictions(running_example):
     cache = ResultCache(max_entries=1)
     a = MiningRequest(per=1, min_ps=3)
     b = MiningRequest(per=2, min_ps=3)
-    patterns = _mine(running_example, a)
-    assert cache.put(a, digest, patterns) == 0
-    assert cache.put(a, digest, patterns) == 0  # a replace
-    assert cache.put(b, digest, patterns) == 1
+    patterns_tsv = _tsv(_mine(running_example, a))
+    assert cache.put(a, digest, patterns_tsv) == 0
+    assert cache.put(a, digest, patterns_tsv) == 0  # a replace
+    assert cache.put(b, digest, patterns_tsv) == 1
     assert cache.stats()["evictions"] == 1
 
 
 def test_concurrent_puts_report_every_eviction_once(running_example):
     digest = running_example.digest()
-    patterns = _mine(running_example, MiningRequest(per=1, min_ps=3))
+    patterns_tsv = _tsv(
+        _mine(running_example, MiningRequest(per=1, min_ps=3))
+    )
     cache = ResultCache(max_entries=3)
     threads, per_thread = 8, 50
     reported = [0] * threads
@@ -176,7 +184,7 @@ def test_concurrent_puts_report_every_eviction_once(running_example):
         for n in range(per_thread):
             per = 1 + index * per_thread + n
             request = MiningRequest(per=per, min_ps=3)
-            reported[index] += cache.put(request, digest, patterns)
+            reported[index] += cache.put(request, digest, patterns_tsv)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -219,7 +227,7 @@ def test_stats_counts_every_outcome(running_example):
     cache = ResultCache()
     request = MiningRequest(per=2, min_ps=3, min_rec=1)
     assert cache.get(request, digest) is None
-    cache.put(request, digest, _mine(running_example, request))
+    cache.put(request, digest, _tsv(_mine(running_example, request)))
     cache.get(request, digest)
     cache.get(request.with_thresholds(min_rec=2), digest)
     assert cache.stats() == {

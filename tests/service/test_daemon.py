@@ -125,6 +125,80 @@ def test_cache_miss_then_hit_then_derived(running_example, example_ref):
         )
 
 
+def test_a_cell_is_serialized_once_and_shared_by_its_hits(
+    running_example, example_ref, monkeypatch
+):
+    """A miss serializes its patterns once and caches that TSV; every
+    hit's job holds that very string, and a derivation filters its
+    rows, so neither calls ``save_patterns``."""
+    import repro.service.daemon as daemon
+
+    saved = []
+    original = daemon.save_patterns
+
+    def save_patterns(patterns, target):
+        saved.append(len(patterns))
+        original(patterns, target)
+
+    monkeypatch.setattr(daemon, "save_patterns", save_patterns)
+    loose = MiningRequest(per=2, min_ps=3, min_rec=1, source=example_ref)
+    tight = loose.with_thresholds(min_rec=2)
+    with running_service() as service:
+        client = ServiceClient(port=service.port)
+        jobs = []
+        for request in (loose, loose, tight, loose):
+            job_id = client.submit(request)
+            assert client.wait(job_id, timeout=60)["status"] == "done"
+            jobs.append(service.jobs.get(job_id))
+    miss, first_hit, derived, second_hit = jobs
+    assert [job.cache for job in jobs] == ["miss", "hit", "derived", "hit"]
+    assert saved == [miss.patterns_found]
+    assert first_hit.patterns_tsv is miss.patterns_tsv
+    assert second_hit.patterns_tsv is miss.patterns_tsv
+    assert derived.patterns_tsv == _tsv(
+        mine_recurring_patterns(running_example, per=2, min_ps=3, min_rec=2)
+    )
+    assert derived.patterns_found == 8
+
+
+def test_hits_hold_no_copy_of_their_answer(tmp_path):
+    """Twenty more hits on a cached quest-0.02 cell keep tracemalloc's
+    traced memory within half of one answer's length: each hit's job
+    holds the cell's string, not a serialization of its own."""
+    import tracemalloc
+
+    from repro.bench.workloads import quest_workload
+    from repro.timeseries.io import save_transactional_database
+
+    path = tmp_path / "quest.tsv"
+    save_transactional_database(quest_workload(0.02), str(path))
+    request = MiningRequest(
+        per=1440, min_ps=0.002, min_rec=1, source=DatasetRef.file(str(path))
+    )
+    service = MiningService(port=0)
+
+    def serve():
+        job = service.jobs.create(request)
+        service._execute(job)
+        assert job.status == "done", job.error
+        return job
+
+    miss, first_hit = serve(), serve()
+    assert (miss.cache, first_hit.cache) == ("miss", "hit")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hits = [serve() for _ in range(20)]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert {job.cache for job in hits} == {"hit"}
+    assert grown < len(miss.patterns_tsv) / 2, (
+        f"20 hits grew {grown} bytes; one answer is "
+        f"{len(miss.patterns_tsv)}"
+    )
+
+
 def test_workload_source_needs_no_files(running_example):
     del running_example
     with running_service() as service:

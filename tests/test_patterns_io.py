@@ -4,11 +4,22 @@ import io
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import mine_recurring_patterns
+from repro.core.model import (
+    PeriodicInterval,
+    RecurringPattern,
+    RecurringPatternSet,
+)
 from repro.core.rp_growth import RPGrowth
 from repro.exceptions import DataFormatError
-from repro.patterns_io import load_patterns, save_patterns
+from repro.patterns_io import (
+    count_patterns_tsv,
+    filter_patterns_tsv,
+    load_patterns,
+    save_patterns,
+)
 from tests.conftest import mining_parameters, small_databases
 
 
@@ -74,6 +85,77 @@ class TestRoundTrip:
         save_patterns(found, buffer)
         buffer.seek(0)
         assert load_patterns(buffer) == found
+
+
+def _tsv(patterns) -> str:
+    buffer = io.StringIO()
+    save_patterns(patterns, buffer)
+    return buffer.getvalue()
+
+
+#: Boundaries the writer spells as ints, as ``repr`` floats (``0.5``,
+#: ``1e-05``, ``-2.5e+20``) and as huge ints from integral floats.
+_BOUNDS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _patterns(draw, items):
+    """A pattern with 1 to 14 intervals on sorted random boundaries."""
+    recurrence = draw(st.integers(1, 14))
+    bounds = sorted(
+        draw(st.lists(_BOUNDS, min_size=2 * recurrence,
+                      max_size=2 * recurrence))
+    )
+    intervals = tuple(
+        PeriodicInterval(bounds[2 * i], bounds[2 * i + 1],
+                         draw(st.integers(1, 10**4)))
+        for i in range(recurrence)
+    )
+    return RecurringPattern(
+        items=items, support=draw(st.integers(1, 10**6)),
+        intervals=intervals,
+    )
+
+
+@st.composite
+def pattern_sets(draw):
+    itemsets = draw(st.lists(
+        st.frozensets(
+            st.sampled_from(["a", "b", "link_down", "i42", "x.y", "Ü"]),
+            min_size=1,
+        ),
+        max_size=12, unique=True,
+    ))
+    return RecurringPatternSet(
+        draw(_patterns(items)) for items in itemsets
+    )
+
+
+class TestRecurrenceFilter:
+    """The row filter the service cache derives tighter cells with."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(patterns=pattern_sets())
+    def test_equals_saving_the_filtered_set(self, patterns):
+        text = _tsv(patterns)
+        assert count_patterns_tsv(text) == len(patterns)
+        longest = max((p.recurrence for p in patterns), default=0)
+        for k in range(1, longest + 2):
+            kept = filter_patterns_tsv(text, k)
+            expected = patterns.filter(min_recurrence=k)
+            assert kept == _tsv(expected), k
+            assert count_patterns_tsv(kept) == len(expected)
+
+    def test_keeps_rows_with_enough_intervals(self, table2):
+        text = _tsv(table2)
+        assert filter_patterns_tsv(text, 1) == text
+        assert filter_patterns_tsv(text, 2) == text  # mined at min_rec 2
+        only_header = filter_patterns_tsv(text, 3)
+        assert only_header == "# repro recurring patterns v1\n"
+        assert count_patterns_tsv(only_header) == 0
 
 
 class TestMalformedInput:
